@@ -1,9 +1,10 @@
 //! Workload generators for the benchmark harness.
 //!
 //! The paper has no quantitative evaluation; these generators provide the
-//! synthetic workloads behind the use-case benchmarks (merge scaling,
-//! derivation scaling, query optimisation, update validation) and the
-//! parameter sweeps recorded in `EXPERIMENTS.md`.
+//! synthetic workloads behind the criterion benchmarks (solver, pipeline,
+//! query optimisation, durability) and the end-to-end benchmark described
+//! in `e2ebench/README.md` (merge and derivation scaling, served reads and
+//! validated writes on the integrated view).
 //!
 //! # Invariants
 //!

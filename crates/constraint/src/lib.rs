@@ -39,7 +39,9 @@
 //!   *enforcement* accepts `Unknown` (a constraint is violated only when
 //!   provably `False`) while query answers require `True` — the
 //!   asymmetry the planner's coverage rules exist for
-//!   ([`solve::implied_by_restricted`]).
+//!   ([`solve::implied_by_restricted`], [`solve::PremiseSet`]): a
+//!   premise may join a proof about an object only where all of its
+//!   paths are known non-null.
 //! * **Domains are closed under the algebra**: intersection, union,
 //!   complement and affine images of interval unions / (co)finite sets
 //!   stay within [`domain::Domain`], with mixed numeric/discrete

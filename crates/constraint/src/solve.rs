@@ -636,6 +636,102 @@ pub fn implied_by_restricted(constraints: &[Formula], target: &Formula, env: &Ty
     implies(&premise, target, env)
 }
 
+/// The store-enforced constraints of one class, prepared once for the
+/// query planner so that each question pays only for the premises it
+/// can soundly use.
+///
+/// Preparation drops every constraint whose negation is unsatisfiable —
+/// a tautology says nothing, yet it still multiplies the DNF of every
+/// conjunction it joins — and every constraint with arithmetic, which
+/// may evaluate `Unknown` even on non-null paths (a division by zero).
+/// The remaining premises keep their path sets.
+///
+/// Both planner questions then follow one path-subset rule: a premise
+/// is usable only when its paths lie inside a set of paths known to be
+/// non-null on the objects in question. There the premise evaluates
+/// two-valued, and a store-enforced constraint is never `False`, so it
+/// is `True` — which is what lets a classical proof over the usable
+/// premises transfer to the three-valued evaluator. A premise reaching
+/// any other path may be `Unknown` there, and reasoning with it would
+/// prune real hits.
+#[derive(Clone, Debug, Default)]
+pub struct PremiseSet {
+    premises: Vec<(Formula, BTreeSet<Path>)>,
+}
+
+impl PremiseSet {
+    /// Prepares `constraints`, each known never to evaluate `False` on
+    /// an object of the class, against the class's type environment.
+    pub fn new(constraints: &[Formula], env: &TypeEnv) -> Self {
+        let premises = constraints
+            .iter()
+            .filter(|c| arithmetic_free(c) && is_satisfiable(&(*c).clone().negate(), env))
+            .map(|c| (c.clone(), c.paths()))
+            .collect();
+        PremiseSet { premises }
+    }
+
+    /// The premises whose paths all lie in `scope`.
+    fn within<'a>(&'a self, scope: &'a BTreeSet<Path>) -> impl Iterator<Item = &'a Formula> {
+        self.premises
+            .iter()
+            .filter(|(_, paths)| paths.is_subset(scope))
+            .map(|(f, _)| f)
+    }
+
+    /// Proves that no object of the class makes `pred` `True`, using
+    /// only the premises whose paths lie inside the paths `pred` forces
+    /// non-null. On an object where `pred` is `True` those premises are
+    /// `True` too, and completing its remaining nulls with any values
+    /// keeps `pred` `True` (Kleene logic is monotone), so an
+    /// unsatisfiable conjunction rules every object out.
+    pub fn refutes(&self, pred: &Formula, env: &TypeEnv) -> bool {
+        let forced = forced_paths(pred);
+        let conj = self
+            .within(&forced)
+            .fold(pred.clone(), |acc, p| acc.and(p.clone()));
+        !is_satisfiable(&conj, env)
+    }
+
+    /// Proves that `target` is `True` on every object of the class
+    /// where its own paths are non-null, using only the premises over
+    /// those paths — the rule of [`implied_by_restricted`]. Arithmetic
+    /// targets are refused.
+    pub fn entails(&self, target: &Formula, env: &TypeEnv) -> bool {
+        if !arithmetic_free(target) {
+            return false;
+        }
+        let scope = target.paths();
+        let premise = Formula::conj(self.within(&scope).cloned());
+        implies(&premise, target, env)
+    }
+}
+
+/// The paths an object must have non-null for `pred` to be `True` on
+/// it: the paths of `pred`'s top-level atomic conjuncts. A comparison,
+/// membership or substring atom — under any number of negations — is
+/// `Unknown` whenever one of its paths is null, so it is `True` only
+/// where all of them are non-null. Disjunctions and implications force
+/// nothing: they can be `True` through one side alone.
+fn forced_paths(pred: &Formula) -> BTreeSet<Path> {
+    fn atomic(f: &Formula) -> bool {
+        match f {
+            Formula::Cmp(..) | Formula::In(..) | Formula::Contains(..) => true,
+            Formula::Not(inner) => atomic(inner),
+            _ => false,
+        }
+    }
+    let conjuncts = match pred {
+        Formula::And(fs) => fs.as_slice(),
+        other => std::slice::from_ref(other),
+    };
+    conjuncts
+        .iter()
+        .filter(|f| atomic(f))
+        .flat_map(Formula::paths)
+        .collect()
+}
+
 /// Enumeration cap for [`selectivity_hint`] — base domains larger than
 /// this are treated as non-enumerable (no prior available).
 const SELECTIVITY_CAP: usize = 256;
@@ -1231,6 +1327,99 @@ mod tests {
             &Formula::cmp("rating", CmpOp::Ge, 6i64),
             &e
         ));
+    }
+
+    #[test]
+    fn premise_set_drops_tautologies_and_arithmetic() {
+        let e = env();
+        let vacuous = Formula::cmp("rating", CmpOp::Eq, 1i64)
+            .and(Formula::cmp("rating", CmpOp::Eq, 2i64))
+            .implies(Formula::cmp("salary", CmpOp::Ge, 5.0));
+        let arith = Formula::Cmp(
+            Expr::Bin(
+                Box::new(Expr::attr("rating")),
+                ArithOp::Add,
+                Box::new(Expr::val(1i64)),
+            ),
+            CmpOp::Ge,
+            Expr::val(5i64),
+        );
+        let live = Formula::cmp("rating", CmpOp::Ge, 5i64);
+        let set = PremiseSet::new(&[vacuous, arith, live.clone(), Formula::True], &e);
+        let kept: Vec<&Formula> = set.premises.iter().map(|(f, _)| f).collect();
+        assert_eq!(
+            kept,
+            [&live],
+            "only the live, arithmetic-free premise stays"
+        );
+    }
+
+    #[test]
+    fn refutation_uses_only_premises_the_query_forces() {
+        let e = env();
+        // Together the premises say `rating >= 7` needs a trav_reimb that
+        // is both >= 1 and <= 0: classically, rating >= 7 is impossible.
+        // But an object with a null trav_reimb leaves both Unknown.
+        let set = PremiseSet::new(
+            &[
+                Formula::cmp("rating", CmpOp::Ge, 7i64).implies(Formula::cmp(
+                    "trav_reimb",
+                    CmpOp::Ge,
+                    1i64,
+                )),
+                Formula::cmp("rating", CmpOp::Ge, 7i64).implies(Formula::cmp(
+                    "trav_reimb",
+                    CmpOp::Le,
+                    0i64,
+                )),
+            ],
+            &e,
+        );
+        let guard = Formula::cmp("rating", CmpOp::Ge, 8i64);
+        assert!(!set.refutes(&guard, &e), "trav_reimb may be null");
+        // A conjunct forcing trav_reimb non-null makes both premises usable,
+        // also under a negation.
+        let forced = guard
+            .clone()
+            .and(Formula::cmp("trav_reimb", CmpOp::Eq, 3i64));
+        assert!(set.refutes(&forced, &e));
+        let negated = guard
+            .clone()
+            .and(Formula::Not(Box::new(Formula::isin("trav_reimb", [3i64]))));
+        assert!(set.refutes(&negated, &e));
+        // A disjunction can be True through its other side: it forces
+        // nothing.
+        let either = guard.and(Formula::cmp("trav_reimb", CmpOp::Eq, 3i64).or(Formula::cmp(
+            "salary",
+            CmpOp::Ge,
+            1.0,
+        )));
+        assert!(!set.refutes(&either, &e));
+        // With no usable premise the type environment still refutes.
+        assert!(set.refutes(&Formula::cmp("rating", CmpOp::Gt, 10i64), &e));
+    }
+
+    #[test]
+    fn premise_set_entailment_matches_restricted_implication() {
+        let e = env();
+        let enforced = [
+            Formula::cmp("rating", CmpOp::Ge, 5i64),
+            Formula::Cmp(Expr::attr("libprice"), CmpOp::Le, Expr::attr("shopprice")),
+        ];
+        let set = PremiseSet::new(&enforced, &e);
+        for target in [
+            Formula::cmp("rating", CmpOp::Ge, 2i64),
+            Formula::cmp("rating", CmpOp::Ge, 6i64),
+            Formula::cmp("libprice", CmpOp::Le, 1e9),
+            Formula::Cmp(Expr::attr("libprice"), CmpOp::Le, Expr::attr("shopprice")),
+            Formula::cmp("rating", CmpOp::Le, 10i64),
+        ] {
+            assert_eq!(
+                set.entails(&target, &e),
+                implied_by_restricted(&enforced, &target, &e),
+                "{target}"
+            );
+        }
     }
 
     #[test]

@@ -62,6 +62,14 @@
 //!   attempt bumps [`Store::version`] and either applies deltas and
 //!   stamps the cache (incremental mode) or discards it (wholesale
 //!   mode) before returning.
+//! * **Pruning never drops a hit**: a predicate is answered
+//!   [`OptimizeOutcome::PrunedEmpty`] only when it contradicts the
+//!   constraints whose paths all lie inside the paths its top-level
+//!   atomic conjuncts force non-null
+//!   ([`interop_constraint::solve::PremiseSet::refutes`]). The store
+//!   rejects only `False`, so a stored object may leave any other
+//!   constraint `Unknown`; implied-true dropping follows the same
+//!   path-subset rule, over the conjunct's own (covered) paths.
 //! * **EXPLAIN is execution**: [`Optimizer::explain`] and
 //!   [`Optimizer::execute`] share one decision path, so the reported
 //!   strategy is the executed one.
@@ -155,16 +163,14 @@ pub use index::{CompositeIndex, HashIndex, KeyIndex, SortedIndex};
 pub use mvcc::{
     CommitError, CommitTicket, MvccStore, MvccTxn, RetryPolicy, RunTxnError, ValidationMode,
 };
-pub use optimize::{
-    execute_costed, execute_plan, Explain, ExplainStrategy, OptimizeOutcome, Optimizer,
-};
+pub use optimize::{execute_costed, Explain, ExplainStrategy, OptimizeOutcome, Optimizer};
 pub use oracle::{
     check, check_order, replay, serialization_edges, Edge, EdgeKind, Item, QueryRecord, TxnRecord,
     Verdict,
 };
 pub use plan::{
     composite_gain_hint, indexable_atoms, CompositeProbe, CostedPlan, CostedRole, IndexAtom,
-    ProbeStep, QueryPlan, Step,
+    ProbeStep,
 };
 pub use query::Query;
 pub use snapshot::SnapshotData;

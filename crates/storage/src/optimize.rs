@@ -8,8 +8,14 @@
 //! constraints known to hold for a class and answers a predicate in
 //! stages:
 //!
-//! 1. **Pruning** — `pred ∧ constraints` unsatisfiable ⇒ empty without
-//!    touching an object ([`OptimizeOutcome::PrunedEmpty`]).
+//! 1. **Pruning** — `pred ∧ Ω'` unsatisfiable ⇒ empty without touching
+//!    an object ([`OptimizeOutcome::PrunedEmpty`]). `Ω'` holds only the
+//!    constraints whose paths all lie inside the paths that `pred`'s
+//!    top-level atomic conjuncts force non-null
+//!    ([`PremiseSet::refutes`]). A stored object may leave any other
+//!    constraint `Unknown` (the store rejects only `False`), so reasoning
+//!    with it would prune real hits; tautologies are dropped once, when
+//!    the optimiser is built.
 //! 2. **Key fast path** — `key = const` probes the unique key index.
 //! 3. **Costed execution** — the predicate is compiled by
 //!    [`crate::plan::build_costed_plan`]: per-`(class, attr)` statistics
@@ -29,13 +35,11 @@
 use std::fmt;
 
 use interop_constraint::eval::{eval_formula, Truth};
-use interop_constraint::solve::{is_satisfiable, TypeEnv};
+use interop_constraint::solve::{PremiseSet, TypeEnv};
 use interop_constraint::{CmpOp, Expr, Formula, Path};
 use interop_model::{intersect_sorted, AttrName, ClassName, ModelError, ObjectId, Value};
 
-use crate::plan::{
-    build_costed_plan, build_plan, CostedPlan, CostedRole, IndexAtom, ProbeStep, QueryPlan, Step,
-};
+use crate::plan::{build_costed_plan, CostedPlan, CostedRole, IndexAtom, ProbeStep};
 use crate::store::Store;
 
 /// How a query was answered.
@@ -56,9 +60,13 @@ pub enum OptimizeOutcome {
 #[derive(Clone, Debug)]
 pub struct Optimizer {
     class: ClassName,
-    /// Constraints known to hold for every object of the class (locally
-    /// enforced ones, or global constraints derived by `interop-core`).
+    /// Constraints known never to be `False` on an object of the class
+    /// (locally enforced ones, or global constraints derived by
+    /// `interop-core`).
     constraints: Vec<Formula>,
+    /// The same constraints prepared for pruning and implied-true
+    /// classification.
+    premises: PremiseSet,
     env: TypeEnv,
 }
 
@@ -77,9 +85,11 @@ impl Optimizer {
     pub fn new(store: &Store, class: impl Into<ClassName>, constraints: Vec<Formula>) -> Self {
         let class = class.into();
         let env = TypeEnv::for_class(&store.db().schema, &class);
+        let premises = PremiseSet::new(&constraints, &env);
         Optimizer {
             class,
             constraints,
+            premises,
             env,
         }
     }
@@ -89,25 +99,15 @@ impl Optimizer {
         &self.constraints
     }
 
-    /// Compiles `pred` into a statistics-free [`QueryPlan`] (pure
-    /// classification, no store access).
-    pub fn plan(&self, pred: &Formula) -> QueryPlan {
-        build_plan(&self.class, pred, &self.constraints, &self.env)
-    }
-
     /// Compiles `pred` into a [`CostedPlan`] against the store's
     /// statistics (built lazily on first use).
     pub fn costed_plan(&self, store: &Store, pred: &Formula) -> CostedPlan {
-        build_costed_plan(&self.class, pred, &self.constraints, &self.env, store)
+        build_costed_plan(&self.class, pred, &self.premises, &self.env, store)
     }
 
     fn decide(&self, store: &Store, pred: &Formula) -> Decision {
-        // 1. Pruning: pred ∧ known constraints unsatisfiable ⇒ empty.
-        let mut conj = pred.clone();
-        for c in &self.constraints {
-            conj = conj.and(c.clone());
-        }
-        if !is_satisfiable(&conj, &self.env) {
+        // 1. Pruning: pred contradicts the premises it forces two-valued.
+        if self.premises.refutes(pred, &self.env) {
             return Decision::Pruned;
         }
         // 2. Key fast path: `key = const` predicates probe the index.
@@ -390,58 +390,6 @@ pub fn execute_costed(
     Ok((hits, OptimizeOutcome::IndexScan))
 }
 
-/// Executes a statistics-free compiled plan: resolves index atoms to
-/// sorted posting lists, intersects them (smallest actual size first),
-/// and evaluates residual conjuncts on the surviving candidates. With no
-/// index atom the class extension is scanned instead. Hits are in
-/// ascending id order. Kept alongside [`execute_costed`] as the
-/// plan-introspection executor for [`QueryPlan`]s.
-pub fn execute_plan(
-    store: &Store,
-    plan: &QueryPlan,
-) -> Result<(Vec<ObjectId>, OptimizeOutcome), ModelError> {
-    let mut postings: Vec<Vec<ObjectId>> = Vec::new();
-    let mut residuals: Vec<&Formula> = Vec::new();
-    for step in &plan.steps {
-        match step {
-            Step::Index(atom) => postings.push(resolve_atom(store, &plan.class, atom)),
-            Step::ImpliedTrue(_) => {}
-            Step::Residual(f) => residuals.push(f),
-        }
-    }
-    if postings.is_empty() {
-        // Scan with the residual conjuncts (implied-true ones already
-        // dropped; with no index steps they can only be path-free).
-        let mut hits = Vec::new();
-        let mut ids = store.db().extension(&plan.class);
-        ids.sort_unstable();
-        for id in ids {
-            let obj = store.db().object_req(id)?;
-            if passes(store, obj, &residuals)? {
-                hits.push(id);
-            }
-        }
-        return Ok((hits, OptimizeOutcome::Scanned));
-    }
-    // Batch intersection of sorted posting lists, smallest first.
-    postings.sort_unstable_by_key(Vec::len);
-    let mut candidates = postings.remove(0);
-    for list in &postings {
-        if candidates.is_empty() {
-            break;
-        }
-        candidates = intersect_sorted(&candidates, list);
-    }
-    let mut hits = Vec::new();
-    for id in candidates {
-        let obj = store.db().object_req(id)?;
-        if passes(store, obj, &residuals)? {
-            hits.push(id);
-        }
-    }
-    Ok((hits, OptimizeOutcome::IndexScan))
-}
-
 fn passes(
     store: &Store,
     obj: &interop_model::Object,
@@ -490,7 +438,7 @@ fn key_eq_value(pred: &Formula, key: &Path) -> Option<Value> {
 mod tests {
     use super::*;
     use crate::query::Query;
-    use interop_constraint::{Catalog, ClassConstraint, ConstraintId};
+    use interop_constraint::{Catalog, ClassConstraint, ConstraintId, ObjectConstraint};
     use interop_model::{ClassDef, Database, DbName, Schema, Type};
 
     fn store_with_items(n: i64) -> Store {
@@ -531,6 +479,53 @@ mod tests {
         let (hits, outcome) = opt
             .execute(&s, &Formula::cmp("rating", CmpOp::Lt, 5i64))
             .unwrap();
+        assert_eq!(outcome, OptimizeOutcome::PrunedEmpty);
+        assert!(hits.is_empty());
+    }
+
+    #[test]
+    fn pruning_ignores_premises_the_query_leaves_nullable() {
+        // Enforced: a >= 1 implies b >= 1, and a >= 1 implies b <= 0.
+        // Classically no object has a >= 1, but {a: 5, b: null} leaves
+        // both Unknown, so the store accepts it and the scan returns it.
+        let schema = Schema::new(
+            "N",
+            vec![ClassDef::new("Pair")
+                .attr("a", Type::Int)
+                .attr("b", Type::Int)],
+        )
+        .unwrap();
+        let a_ge_1 = Formula::cmp("a", CmpOp::Ge, 1i64);
+        let bodies = [
+            Formula::cmp("b", CmpOp::Ge, 1i64),
+            Formula::cmp("b", CmpOp::Le, 0i64),
+        ];
+        let mut cat = Catalog::new();
+        for (i, body) in bodies.iter().enumerate() {
+            cat.add_object(ObjectConstraint::new(
+                ConstraintId::new(
+                    &DbName::new("N"),
+                    &ClassName::new("Pair"),
+                    &format!("oc{i}"),
+                ),
+                "Pair",
+                a_ge_1.clone().implies(body.clone()),
+            ));
+        }
+        let constraints: Vec<Formula> = cat.all_object().map(|c| c.formula.clone()).collect();
+        let mut s = Store::new(Database::new(schema, 1), cat);
+        s.create("Pair", vec![("a", Value::int(5))]).unwrap();
+        s.create("Pair", vec![("a", Value::int(0)), ("b", Value::int(3))])
+            .unwrap();
+        let opt = Optimizer::new(&s, "Pair", constraints);
+        let (hits, outcome) = opt.execute(&s, &a_ge_1).unwrap();
+        let mut scanned = Query::new("Pair", a_ge_1.clone()).scan(&s).unwrap();
+        scanned.sort_unstable();
+        assert_eq!(scanned.len(), 1);
+        assert_eq!(hits, scanned, "pruned a real hit ({outcome:?})");
+        // Forcing b non-null makes both premises usable: now pruned.
+        let forced = a_ge_1.and(Formula::cmp("b", CmpOp::Eq, 3i64));
+        let (hits, outcome) = opt.execute(&s, &forced).unwrap();
         assert_eq!(outcome, OptimizeOutcome::PrunedEmpty);
         assert!(hits.is_empty());
     }
@@ -616,8 +611,8 @@ mod tests {
         let pred = Formula::cmp("rating", CmpOp::Eq, 3i64)
             .and(Formula::cmp("libprice", CmpOp::Le, 40.0))
             .and(Formula::cmp("isbn", CmpOp::Ne, "isbn-2"));
-        let plan = opt.plan(&pred);
-        assert_eq!(plan.counts(), (2, 0, 1));
+        let plan = opt.costed_plan(&s, &pred);
+        assert_eq!(plan.counts(), (2, 0, 1, 0));
         let (hits, outcome) = opt.execute(&s, &pred).unwrap();
         assert_eq!(outcome, OptimizeOutcome::IndexScan);
         let mut scanned = Query::new("Item", pred).scan(&s).unwrap();
@@ -632,8 +627,8 @@ mod tests {
         let opt = Optimizer::new(&s, "Item", vec![constraint]);
         let pred =
             Formula::cmp("rating", CmpOp::Eq, 4i64).and(Formula::cmp("rating", CmpOp::Ge, 1i64));
-        let plan = opt.plan(&pred);
-        assert_eq!(plan.counts(), (1, 1, 0), "implied conjunct dropped");
+        let plan = opt.costed_plan(&s, &pred);
+        assert_eq!(plan.counts(), (1, 0, 0, 1), "implied conjunct dropped");
         let (hits, outcome) = opt.execute(&s, &pred).unwrap();
         assert_eq!(outcome, OptimizeOutcome::IndexScan);
         let mut scanned = Query::new("Item", pred).scan(&s).unwrap();

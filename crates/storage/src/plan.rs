@@ -6,14 +6,18 @@
 //! appear here:
 //!
 //! * **implied-empty** — the whole predicate contradicts the known
-//!   constraints; the query is answered empty without touching an object
-//!   (decided by the [`crate::optimize::Optimizer`] before planning);
+//!   constraints it forces two-valued; the query is answered empty
+//!   without touching an object (decided by the
+//!   [`crate::optimize::Optimizer`] before planning);
 //! * **implied-true** — a conjunct is entailed by the constraints and can
 //!   be dropped from evaluation. Soundness under three-valued semantics
 //!   requires (a) the entailment to use only premises over the conjunct's
-//!   own paths ([`interop_constraint::solve::implied_by_restricted`]) and
-//!   (b) every such path to be covered by a remaining index conjunct,
-//!   whose posting lists contain only objects with that path non-null.
+//!   own paths ([`PremiseSet::entails`]) and (b) every such path to be
+//!   covered by a remaining index conjunct, whose evaluation excludes
+//!   objects with that path null.
+//!
+//! Both rest on one path-subset rule, stated on [`PremiseSet`]: a
+//! premise joins a proof only where all of its paths are known non-null.
 //!
 //! Index-satisfiable conjuncts execute as posting-list intersections
 //! (hash postings for equality/membership, sorted-index ranges for
@@ -31,7 +35,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use interop_constraint::solve::{implied_by_restricted, selectivity_hint, TypeEnv};
+use interop_constraint::solve::{selectivity_hint, PremiseSet, TypeEnv};
 use interop_constraint::{CmpOp, Expr, Formula, Path};
 use interop_model::{AttrName, ClassName, Value, R64};
 
@@ -74,48 +78,6 @@ impl IndexAtom {
             | IndexAtom::In { attr, .. }
             | IndexAtom::Range { attr, .. } => attr,
         }
-    }
-}
-
-/// One planned conjunct.
-#[derive(Clone, Debug)]
-pub enum Step {
-    /// Satisfied by intersecting a posting list.
-    Index(IndexAtom),
-    /// Entailed by the known constraints on every candidate the index
-    /// steps produce; dropped from evaluation.
-    ImpliedTrue(Formula),
-    /// Evaluated per candidate object.
-    Residual(Formula),
-}
-
-/// A compiled selection plan over one class.
-#[derive(Clone, Debug)]
-pub struct QueryPlan {
-    /// The queried class (candidates range over its extension).
-    pub class: ClassName,
-    /// The planned conjuncts.
-    pub steps: Vec<Step>,
-}
-
-impl QueryPlan {
-    /// `(index, implied_true, residual)` step counts — handy in tests and
-    /// for explain-style diagnostics.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for s in &self.steps {
-            match s {
-                Step::Index(_) => c.0 += 1,
-                Step::ImpliedTrue(_) => c.1 += 1,
-                Step::Residual(_) => c.2 += 1,
-            }
-        }
-        c
-    }
-
-    /// True when at least one conjunct is answered from an index.
-    pub fn uses_index(&self) -> bool {
-        self.steps.iter().any(|s| matches!(s, Step::Index(_)))
     }
 }
 
@@ -192,7 +154,7 @@ fn cmp_atom(attr: &AttrName, op: CmpOp, v: &Value) -> Option<IndexAtom> {
 
 /// The index-answerable atoms among `pred`'s top-level conjuncts, in
 /// conjunct order. Pure shape classification (the same recogniser
-/// [`build_plan`] uses) with no store access — the static analyzer's
+/// [`build_costed_plan`] uses) with no store access — the static analyzer's
 /// plan-lint hook: a predicate yielding no atoms here always executes as
 /// a full scan, whatever the data.
 pub fn indexable_atoms(pred: &Formula) -> Vec<IndexAtom> {
@@ -213,57 +175,6 @@ pub fn indexable_atoms(pred: &Formula) -> Vec<IndexAtom> {
 pub fn composite_gain_hint(sel_a: f64, sel_b: f64) -> f64 {
     let joint = (sel_a * sel_b).max(f64::EPSILON);
     sel_a.min(sel_b).max(0.0) / joint
-}
-
-/// Builds the plan for `pred` over `class`, given the constraints known
-/// to hold for every object of the class and the class's type
-/// environment. Pure classification — no store access; posting lists are
-/// resolved at execution time against the store's lazy indexes.
-pub fn build_plan(
-    class: &ClassName,
-    pred: &Formula,
-    constraints: &[Formula],
-    env: &TypeEnv,
-) -> QueryPlan {
-    let parts = conjuncts(pred);
-    let atoms: Vec<Option<IndexAtom>> = parts.iter().map(|f| index_atom(f)).collect();
-    let implied: Vec<bool> = parts
-        .iter()
-        .map(|f| !constraints.is_empty() && implied_by_restricted(constraints, f, env))
-        .collect();
-    // Paths guaranteed non-null on every candidate: attributes probed by
-    // index atoms that are *kept* (an implied atom may itself be dropped,
-    // so it cannot vouch for anyone else's coverage).
-    let coverage: Vec<Path> = parts
-        .iter()
-        .zip(&atoms)
-        .zip(&implied)
-        .filter_map(|((_, atom), imp)| {
-            if *imp {
-                None
-            } else {
-                atom.as_ref().map(|a| Path::attr(a.attr().clone()))
-            }
-        })
-        .collect();
-    let steps = parts
-        .iter()
-        .zip(atoms)
-        .zip(implied)
-        .map(|((f, atom), imp)| {
-            if imp && f.paths().iter().all(|p| coverage.contains(p)) {
-                Step::ImpliedTrue((*f).clone())
-            } else if let Some(a) = atom {
-                Step::Index(a)
-            } else {
-                Step::Residual((*f).clone())
-            }
-        })
-        .collect();
-    QueryPlan {
-        class: class.clone(),
-        steps,
-    }
 }
 
 /// A source of per-`(class, attr)` statistics for plan-time costing —
@@ -567,27 +478,25 @@ impl CostedPlan {
     }
 }
 
-/// Builds a cost-based plan for `pred` over `class`. Classification
-/// mirrors [`build_plan`]; on top of it, statistics from `stats` decide
-/// which index atoms are worth intersecting and in what order (see
-/// [`KEEP_FLOOR`] / [`POOR_SELECTIVITY`]). Implied-true conjuncts are
-/// dropped only when every path is covered by an atom that *is*
-/// evaluated — kept or demoted both qualify, since an atom excludes
-/// null-valued candidates whether it runs as a posting list or as a
-/// residual check.
+/// Builds a cost-based plan for `pred` over `class`, given the class's
+/// prepared constraints and type environment. Each top-level conjunct is
+/// classified as an index atom, a residual, or implied-true (entailed by
+/// `premises`); statistics from `stats` then decide which index atoms
+/// are worth intersecting and in what order (see [`KEEP_FLOOR`] /
+/// [`POOR_SELECTIVITY`]). Implied-true conjuncts are dropped only when
+/// every path is covered by an atom that *is* evaluated — kept or
+/// demoted both qualify, since an atom excludes null-valued candidates
+/// whether it runs as a posting list or as a residual check.
 pub fn build_costed_plan(
     class: &ClassName,
     pred: &Formula,
-    constraints: &[Formula],
+    premises: &PremiseSet,
     env: &TypeEnv,
     stats: &dyn StatsSource,
 ) -> CostedPlan {
     let parts = conjuncts(pred);
     let atoms: Vec<Option<IndexAtom>> = parts.iter().map(|f| index_atom(f)).collect();
-    let implied: Vec<bool> = parts
-        .iter()
-        .map(|f| !constraints.is_empty() && implied_by_restricted(constraints, f, env))
-        .collect();
+    let implied: Vec<bool> = parts.iter().map(|f| premises.entails(f, env)).collect();
     // Paths guaranteed non-null on every candidate: attributes of every
     // evaluated non-implied atom (an implied atom may itself be dropped,
     // so it cannot vouch for anyone else's coverage; kept and demoted
@@ -759,24 +668,40 @@ mod tests {
             .with("isbn", Type::Str)
     }
 
+    fn premises(constraints: &[Formula]) -> PremiseSet {
+        PremiseSet::new(constraints, &env())
+    }
+
+    /// Plans `pred` against [`stats_1000`] with no known constraints.
+    fn plan_1000(pred: &Formula) -> CostedPlan {
+        build_costed_plan(
+            &ClassName::new("Item"),
+            pred,
+            &PremiseSet::default(),
+            &env(),
+            &stats_1000(),
+        )
+    }
+
     #[test]
     fn equality_and_range_atoms_recognised() {
-        let plan = build_plan(
-            &ClassName::new("Item"),
-            &Formula::cmp("isbn", CmpOp::Eq, "x").and(Formula::cmp("price", CmpOp::Le, 10.0)),
-            &[],
-            &env(),
-        );
-        assert_eq!(plan.counts(), (2, 0, 0));
+        let plan = plan_1000(&Formula::cmp("isbn", CmpOp::Eq, "x").and(Formula::cmp(
+            "price",
+            CmpOp::Le,
+            10.0,
+        )));
+        assert_eq!(plan.counts(), (2, 0, 0, 0));
         assert!(plan.uses_index());
     }
 
     #[test]
     fn flipped_constant_side_normalises() {
         let f = Formula::Cmp(Expr::val(10.0), CmpOp::Ge, Expr::attr("price"));
-        let plan = build_plan(&ClassName::new("Item"), &f, &[], &env());
-        match &plan.steps[0] {
-            Step::Index(IndexAtom::Range { lo, hi, .. }) => {
+        match &plan_1000(&f).conjuncts[0].role {
+            CostedRole::Index {
+                atom: IndexAtom::Range { lo, hi, .. },
+                ..
+            } => {
                 assert_eq!(*lo, Bound::Unbounded);
                 assert_eq!(*hi, Bound::Included(R64::new(10.0)));
             }
@@ -789,46 +714,57 @@ mod tests {
         let pred = Formula::cmp("isbn", CmpOp::Ne, "x")
             .and(Formula::cmp("publisher.name", CmpOp::Eq, "ACM"))
             .and(Formula::cmp("rating", CmpOp::Ge, 5i64).or(Formula::cmp("price", CmpOp::Le, 1.0)));
-        let plan = build_plan(&ClassName::new("Item"), &pred, &[], &env());
-        assert_eq!(plan.counts(), (0, 0, 3));
+        let plan = plan_1000(&pred);
+        assert_eq!(plan.counts(), (0, 0, 3, 0));
         assert!(!plan.uses_index());
+        assert!(indexable_atoms(&pred).is_empty());
     }
 
     #[test]
     fn implied_conjunct_dropped_only_under_coverage() {
-        let constraints = vec![Formula::cmp("rating", CmpOp::Ge, 5i64)];
+        let known = premises(&[Formula::cmp("rating", CmpOp::Ge, 5i64)]);
+        let plan = |pred: &Formula| {
+            build_costed_plan(&ClassName::new("Item"), pred, &known, &env(), &stats_1000())
+        };
         // rating = 7 covers the rating path, so rating >= 2 (implied by
         // rating >= 5) is dropped.
         let covered =
             Formula::cmp("rating", CmpOp::Eq, 7i64).and(Formula::cmp("rating", CmpOp::Ge, 2i64));
-        let plan = build_plan(&ClassName::new("Item"), &covered, &constraints, &env());
-        assert_eq!(plan.counts(), (1, 1, 0));
-        // Without a covering index conjunct the implied atom must stay:
-        // a null rating would otherwise be wrongly admitted.
+        assert_eq!(plan(&covered).counts(), (1, 0, 0, 1));
+        // Without a covering index conjunct the implied atom must stay
+        // (here demoted, ~90% of the extension): a null rating would
+        // otherwise be wrongly admitted.
         let uncovered =
             Formula::cmp("isbn", CmpOp::Eq, "x").and(Formula::cmp("rating", CmpOp::Ge, 2i64));
-        let plan = build_plan(&ClassName::new("Item"), &uncovered, &constraints, &env());
-        assert_eq!(plan.counts(), (2, 0, 0));
+        assert_eq!(plan(&uncovered).counts(), (1, 1, 0, 0));
     }
 
     #[test]
     fn mutually_implied_conjuncts_do_not_vouch_for_each_other() {
         // Both conjuncts are implied by the constraint; if each covered
         // the other, a null rating object would slip through. Neither may
-        // be dropped.
-        let constraints = vec![Formula::cmp("rating", CmpOp::Ge, 5i64)];
+        // be dropped (both are evaluated, demoted for poor selectivity).
+        let known = premises(&[Formula::cmp("rating", CmpOp::Ge, 5i64)]);
         let pred =
             Formula::cmp("rating", CmpOp::Ge, 4i64).and(Formula::cmp("rating", CmpOp::Ge, 3i64));
-        let plan = build_plan(&ClassName::new("Item"), &pred, &constraints, &env());
-        assert_eq!(plan.counts(), (2, 0, 0), "no self-vouching");
+        let plan = build_costed_plan(
+            &ClassName::new("Item"),
+            &pred,
+            &known,
+            &env(),
+            &stats_1000(),
+        );
+        assert_eq!(plan.counts(), (0, 2, 0, 0), "no self-vouching");
     }
 
     #[test]
     fn in_set_canonicalises_probe_keys() {
         let f = Formula::isin("rating", [Value::int(5), Value::real(5.0), Value::int(9)]);
-        let plan = build_plan(&ClassName::new("Item"), &f, &[], &env());
-        match &plan.steps[0] {
-            Step::Index(IndexAtom::In { keys, .. }) => {
+        match &plan_1000(&f).conjuncts[0].role {
+            CostedRole::Index {
+                atom: IndexAtom::In { keys, .. },
+                ..
+            } => {
                 assert_eq!(keys.len(), 2, "Int(5) and Real(5.0) collapse");
             }
             other => panic!("expected In atom, got {other:?}"),
@@ -861,11 +797,13 @@ mod tests {
         }
     }
 
-    /// 1000 objects: rating uniform over 1..=10, price uniform 0..100.
+    /// 1000 objects: rating uniform over 1..=10, price uniform 0..100,
+    /// isbn unique.
     fn stats_1000() -> FakeStats {
         let rating: Vec<Value> = (0..1000).map(|i| Value::int(1 + (i % 10))).collect();
         let price: Vec<Value> = (0..1000).map(|i| Value::real((i % 100) as f64)).collect();
-        FakeStats::new(vec![("rating", rating), ("price", price)])
+        let isbn: Vec<Value> = (0..1000).map(|i| Value::str(format!("isbn-{i}"))).collect();
+        FakeStats::new(vec![("rating", rating), ("price", price), ("isbn", isbn)])
     }
 
     #[test]
@@ -875,7 +813,13 @@ mod tests {
         let pred = Formula::cmp("rating", CmpOp::Eq, 7i64)
             .and(Formula::cmp("price", CmpOp::Le, 4.5))
             .and(Formula::cmp("rating", CmpOp::Ge, 3i64));
-        let plan = build_costed_plan(&ClassName::new("Item"), &pred, &[], &env(), &stats_1000());
+        let plan = build_costed_plan(
+            &ClassName::new("Item"),
+            &pred,
+            &PremiseSet::default(),
+            &env(),
+            &stats_1000(),
+        );
         assert_eq!(plan.extension, 1000);
         assert_eq!(plan.counts(), (2, 1, 0, 0), "two kept, one demoted");
         let steps = plan.index_steps();
@@ -890,7 +834,13 @@ mod tests {
     fn poor_selectivity_everywhere_falls_back_to_scan() {
         let pred =
             Formula::cmp("rating", CmpOp::Ge, 2i64).and(Formula::cmp("price", CmpOp::Ge, 10.0));
-        let plan = build_costed_plan(&ClassName::new("Item"), &pred, &[], &env(), &stats_1000());
+        let plan = build_costed_plan(
+            &ClassName::new("Item"),
+            &pred,
+            &PremiseSet::default(),
+            &env(),
+            &stats_1000(),
+        );
         assert!(!plan.uses_index(), "both atoms ~90% of the extension");
         assert_eq!(plan.counts(), (0, 2, 0, 0));
         assert_eq!(plan.est_rows(), None);
@@ -904,7 +854,13 @@ mod tests {
         let rating: Vec<Value> = (0..20).map(|_| Value::int(7)).collect();
         let stats = FakeStats::new(vec![("rating", rating)]);
         let pred = Formula::cmp("rating", CmpOp::Eq, 7i64);
-        let plan = build_costed_plan(&ClassName::new("Item"), &pred, &[], &env(), &stats);
+        let plan = build_costed_plan(
+            &ClassName::new("Item"),
+            &pred,
+            &PremiseSet::default(),
+            &env(),
+            &stats,
+        );
         assert!(plan.uses_index());
         assert_eq!(plan.index_steps()[0].1, 20);
     }
@@ -914,13 +870,13 @@ mod tests {
         // rating >= 3 is implied by the constraint and its only path is
         // covered by the (demoted) rating-atom: it is dropped, and the
         // demoted atom is evaluated as a residual.
-        let constraints = vec![Formula::cmp("rating", CmpOp::Ge, 5i64)];
+        let known = premises(&[Formula::cmp("rating", CmpOp::Ge, 5i64)]);
         let pred =
             Formula::cmp("rating", CmpOp::Ge, 6i64).and(Formula::cmp("rating", CmpOp::Ge, 3i64));
         let plan = build_costed_plan(
             &ClassName::new("Item"),
             &pred,
-            &constraints,
+            &known,
             &env(),
             &stats_1000(),
         );
@@ -1001,10 +957,10 @@ mod tests {
         let class = ClassName::new("Item");
         // rating = 7 est 100, shade = 3 est 50 → joint = 100·50/1000 = 5;
         // min_single 50 >= 2·5: qualifies.
-        let p1 = build_costed_plan(&class, &pair_pred(), &[], &env(), &stats);
+        let p1 = build_costed_plan(&class, &pair_pred(), &PremiseSet::default(), &env(), &stats);
         assert!(p1.composite_probe().is_none(), "first sighting: isect");
         assert_eq!(p1.counts(), (2, 0, 0, 0));
-        let p2 = build_costed_plan(&class, &pair_pred(), &[], &env(), &stats);
+        let p2 = build_costed_plan(&class, &pair_pred(), &PremiseSet::default(), &env(), &stats);
         let probe = p2.composite_probe().expect("second sighting admits");
         assert_eq!(
             probe.attr_pair().0.as_str(),
@@ -1052,8 +1008,8 @@ mod tests {
         // A third kept atom (price <= 0.0, est 0) is cheaper than the
         // joint estimate (5): it must be intersected first.
         let pred = pair_pred().and(Formula::cmp("price", CmpOp::Le, 0.0));
-        let _ = build_costed_plan(&class, &pred, &[], &env(), &stats);
-        let plan = build_costed_plan(&class, &pred, &[], &env(), &stats);
+        let _ = build_costed_plan(&class, &pred, &PremiseSet::default(), &env(), &stats);
+        let plan = build_costed_plan(&class, &pred, &PremiseSet::default(), &env(), &stats);
         let steps = plan.probe_steps();
         assert_eq!(steps.len(), 2);
         assert!(
@@ -1070,7 +1026,7 @@ mod tests {
         let pred =
             Formula::cmp("rating", CmpOp::Eq, 7i64).and(Formula::cmp("rating", CmpOp::Eq, 8i64));
         for _ in 0..3 {
-            let plan = build_costed_plan(&class, &pred, &[], &env(), &stats);
+            let plan = build_costed_plan(&class, &pred, &PremiseSet::default(), &env(), &stats);
             assert!(plan.composite_probe().is_none());
         }
         assert!(stats.seen.borrow().is_empty(), "no candidate reported");
@@ -1083,7 +1039,7 @@ mod tests {
         let pred =
             Formula::cmp("rating", CmpOp::Eq, 7i64).and(Formula::cmp("price", CmpOp::Le, 30.0));
         for _ in 0..3 {
-            let plan = build_costed_plan(&class, &pred, &[], &env(), &stats);
+            let plan = build_costed_plan(&class, &pred, &PremiseSet::default(), &env(), &stats);
             assert!(plan.composite_probe().is_none(), "needs two Eq atoms");
         }
     }
@@ -1097,7 +1053,8 @@ mod tests {
         let stats = CompositeStats::new(pair_stats_1000(), 1, 20.0);
         let class = ClassName::new("Item");
         for _ in 0..3 {
-            let plan = build_costed_plan(&class, &pair_pred(), &[], &env(), &stats);
+            let plan =
+                build_costed_plan(&class, &pair_pred(), &PremiseSet::default(), &env(), &stats);
             assert!(plan.composite_probe().is_none());
         }
         assert!(stats.seen.borrow().is_empty(), "gain gate filtered it");
@@ -1108,7 +1065,13 @@ mod tests {
         let pred = Formula::cmp("rating", CmpOp::Eq, 7i64)
             .and(Formula::cmp("price", CmpOp::Le, 9.5))
             .and(Formula::cmp("rating", CmpOp::Ne, 0i64));
-        let plan = build_costed_plan(&ClassName::new("Item"), &pred, &[], &env(), &stats_1000());
+        let plan = build_costed_plan(
+            &ClassName::new("Item"),
+            &pred,
+            &PremiseSet::default(),
+            &env(),
+            &stats_1000(),
+        );
         let est = plan.est_rows().expect("indexed plan estimates rows");
         // ~0.1 * ~0.1 * hint(rating <> 0 → 1.0) * 1000 ≈ 10.
         assert!((5..=20).contains(&est), "estimate near 10, got {est}");

@@ -8,7 +8,12 @@
 //! empty.
 //!
 //! Stores are adversarial: mixed value types, missing (null) attributes,
-//! subclass hierarchies, and an always-empty class.
+//! subclass hierarchies, and an always-empty class. The enforced
+//! constraints include a conditional pair whose bodies contradict each
+//! other, so every object meeting the guard leaves the body attribute
+//! null: the pair is classically unsatisfiable under the guard, yet such
+//! objects are real hits for queries that do not force the body
+//! attribute non-null.
 
 use interop_constraint::{CmpOp, Expr, Formula};
 use interop_model::{ClassDef, Database, Schema, Type, Value};
@@ -46,22 +51,29 @@ fn schema() -> Schema {
     .expect("static schema")
 }
 
-/// Builds a store whose objects satisfy `score >= 2` and `num >= 0` by
-/// construction — those are the "derived global constraints" handed to
-/// the optimizer, and the paper's premise is that supplied constraints
-/// are locally enforced.
+/// Objects with `num <= GUARD` leave `score` null (see
+/// [`enforced_constraints`]).
+const GUARD: i64 = 25;
+
+/// Builds a store whose objects never make an [`enforced_constraints`]
+/// formula `False` by construction — those are the "derived global
+/// constraints" handed to the optimizer, and the paper's premise is that
+/// supplied constraints are locally enforced (a store rejects only
+/// `False`, so `Unknown` is allowed).
 fn build_store(objs: &[ObjSpec]) -> Store {
     let mut db = Database::new(schema(), 1);
     for (class, num, name, score, extra, mask) in objs {
         let class = CLASSES[(*class as usize) % 3]; // Empty never populated
         let mut attrs: Vec<(&str, Value)> = Vec::new();
+        let num = num.rem_euclid(100);
+        let guarded = mask & 1 != 0 && num <= GUARD;
         if mask & 1 != 0 {
-            attrs.push(("num", Value::int(num.rem_euclid(100))));
+            attrs.push(("num", Value::int(num)));
         }
         if mask & 2 != 0 {
             attrs.push(("name", Value::str(NAMES[(*name as usize) % NAMES.len()])));
         }
-        if mask & 4 != 0 {
+        if mask & 4 != 0 && !guarded {
             attrs.push(("score", Value::int(2 + score.rem_euclid(19))));
         }
         if mask & 8 != 0 && class != "Base" {
@@ -74,9 +86,16 @@ fn build_store(objs: &[ObjSpec]) -> Store {
 }
 
 fn enforced_constraints() -> Vec<Formula> {
+    let guard = Formula::cmp("num", CmpOp::Le, GUARD);
     vec![
         Formula::cmp("score", CmpOp::Ge, 2i64),
         Formula::cmp("num", CmpOp::Ge, 0i64),
+        // Contradictory bodies: both hold only as `Unknown`, with score
+        // null, on an object meeting the guard.
+        guard
+            .clone()
+            .implies(Formula::cmp("score", CmpOp::Ge, 15i64)),
+        guard.implies(Formula::cmp("score", CmpOp::Le, 5i64)),
     ]
 }
 
@@ -320,7 +339,11 @@ proptest! {
     }
 
     /// The planner and the scan oracle agree on every random query, with
-    /// and without the derived constraints armed.
+    /// and without the derived constraints armed. A guarded query meets
+    /// the conditional constraints' guard: classically the armed
+    /// constraints contradict it, but a guarded object leaves `score`
+    /// null, so it is a real hit unless a conjunct forces `score`
+    /// non-null.
     #[test]
     fn planner_matches_scan_oracle(
         objs in prop::collection::vec(
@@ -331,10 +354,15 @@ proptest! {
         shape in 0u8..8,
         class_sel in 0u8..8,
         armed in any::<bool>(),
+        guarded in any::<bool>(),
+        bound in 0i64..=GUARD,
     ) {
         let store = build_store(&objs);
         let class = CLASSES[(class_sel as usize) % CLASSES.len()];
-        let pred = build_pred(&atoms, shape);
+        let mut pred = build_pred(&atoms, shape);
+        if guarded {
+            pred = Formula::cmp("num", CmpOp::Le, bound).and(pred);
+        }
         let constraints = if armed { enforced_constraints() } else { Vec::new() };
         let opt = Optimizer::new(&store, class, constraints);
         let (mut hits, outcome) = opt.execute(&store, &pred).expect("planner executes");
