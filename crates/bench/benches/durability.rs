@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use interop_constraint::Catalog;
 use interop_model::{ClassDef, ClassName, Database, Object, ObjectId, Schema, Type, Value};
-use interop_storage::{DurabilityMode, GroupCommitPolicy, MvccStore, Store};
+use interop_storage::{DurabilityMode, MvccStore, Store};
 
 const N: usize = 10_000;
 
@@ -84,10 +84,10 @@ fn bench(c: &mut Criterion) {
         )
     });
 
-    // Same txn count, but through concurrent MVCC sessions with group
-    // commit: committers pipeline their commits ([`MvccTxn::
-    // commit_pipelined`]), so hundreds of unacknowledged commits are in
-    // flight and one elected leader's `sync_data` covers them all.
+    // Same txn count, but through concurrent MVCC sessions: committers
+    // pipeline their commits ([`MvccTxn::commit_pipelined`]), so
+    // hundreds of unacknowledged commits are in flight and one elected
+    // leader's `sync_data` covers them all.
     // Every ticket is redeemed inside the measured region — each txn's
     // durability acknowledgement is paid for, just in batches instead
     // of one fsync each. Disjoint write sets (one seeded object per
@@ -105,7 +105,6 @@ fn bench(c: &mut Criterion) {
                     DurabilityMode::Wal,
                 )
                 .expect("open durable store");
-                s.set_group_commit(GroupCommitPolicy::grouped(4096, 0));
                 for th in 1..=GROUP_THREADS as u64 {
                     s.insert(item(th)).expect("seed one object per thread");
                 }

@@ -21,9 +21,9 @@ pub type Extent = Vec<ObjectId>;
 /// Cloning a `Database` is cheap by design: the schema and every
 /// object are behind `Arc`s, so a clone shares structure with the
 /// original and copies an object only when a mutation touches it
-/// (copy-on-write via `Arc::make_mut`). MVCC snapshots and the
-/// group-commit mirror clone stores on every commit, so this is a
-/// write-path cost, not a convenience.
+/// (copy-on-write via `Arc::make_mut`). The MVCC layer publishes a
+/// clone of its store as the read snapshot on every commit, so this
+/// is a write-path cost, not a convenience.
 #[derive(Clone, Debug)]
 pub struct Database {
     /// The schema this database instantiates (shared, copy-on-write).

@@ -26,7 +26,7 @@
 //! every decision through [`Optimizer::explain`]. [`wal`] and
 //! [`snapshot`] add durability: [`Store::open`] recovers the newest
 //! valid snapshot plus the committed tail of a size-rotated segmented
-//! write-ahead log, a [`wal::GroupCommitPolicy`] amortizes the
+//! write-ahead log, group commit ([`wal::GroupSync`]) amortizes the
 //! commit-boundary fsync across concurrent sessions (with pipelined
 //! acknowledgement via [`mvcc::MvccTxn::commit_pipelined`]), and
 //! [`store::DurabilityMode::Off`] keeps every in-memory path exactly as
@@ -95,10 +95,10 @@
 //!   and shares no WAL handle — so no call site silently "persists"
 //!   into a copy whose log no longer exists.
 //! * **Readers never block writers** ([`mvcc`]): a transaction reads
-//!   an immutable published `Arc` snapshot; commits mutate a
-//!   copy-on-write mirror and publish a fresh `Arc`. No reader holds
-//!   any lock while a commit runs, and an in-flight reader's view
-//!   never changes.
+//!   an immutable published `Arc` snapshot; each commit publishes a
+//!   fresh detached clone of the canonical store as a new `Arc`. No
+//!   reader holds any lock while a commit runs, and an in-flight
+//!   reader's view never changes.
 //! * **First committer wins** ([`mvcc`]): of two overlapping write
 //!   sets, the second commit fails with
 //!   [`mvcc::CommitError::WriteConflict`]; under the default
@@ -111,16 +111,20 @@
 //!   under the commit mutex, so the log's `Begin…Commit` run order is
 //!   the commit-timestamp order — itself a valid serialization order
 //!   of the recorded history.
-//! * **Acknowledged never means lost** ([`wal::GroupCommitPolicy`]):
-//!   under group commit, [`mvcc::MvccTxn::commit`] returns (and a
-//!   pipelined [`mvcc::CommitTicket`] redeems) only after a
-//!   `sync_data` covering that commit's log bytes has succeeded. A
-//!   crash loses at most a *suffix* of published-but-unacknowledged
-//!   commits — recovery always yields a commit-order prefix containing
-//!   every acknowledged transaction. The first sync failure latches:
-//!   it is reported to every waiter at and past the failed batch, and
-//!   the log is restored to its last durable length so later commits
-//!   cannot be reordered around the hole.
+//! * **Acknowledged never means lost** ([`wal::GroupSync`]): every run
+//!   reaches the log through one append path, and every commit —
+//!   [`Transaction::commit`], [`mvcc::MvccTxn::commit`], a redeemed
+//!   [`mvcc::CommitTicket`] — is acknowledged only after a
+//!   `sync_data` covering its log bytes has succeeded. A crash loses
+//!   at most a *suffix* of published-but-unacknowledged commits —
+//!   recovery always yields a commit-order prefix containing every
+//!   acknowledged transaction.
+//! * **Every failed log sync latches** ([`wal::GroupSync`]): a
+//!   leader's sync (a single writer's included), a segment seal and
+//!   the `sync_all` of a snapshot reset all report to one sticky
+//!   error. It is reported to every waiter not yet covered, and from
+//!   then on nothing is appended, synced or acknowledged — a retried
+//!   fsync can falsely succeed, so none is trusted.
 //!
 //! # Example
 //!
@@ -179,4 +183,4 @@ pub use store::{
     CompositePolicy, DurabilityMode, IndexMaintenance, SnapshotFailure, Store, StoreError,
 };
 pub use txn::{Transaction, TxnOp, TxnOutcome};
-pub use wal::{DurabilityError, GroupCommitPolicy, WalAck, WalRecord};
+pub use wal::{DurabilityError, WalAck, WalRecord};

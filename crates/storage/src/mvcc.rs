@@ -25,10 +25,12 @@
 //!    store — the one [`Store`] that owns durability — as one ordinary
 //!    [`Transaction`], so constraint enforcement and the WAL's
 //!    `Begin…Commit` bracket are exactly the single-threaded code
-//!    path: commits serialize into the log in timestamp order.
+//!    path: commits serialize into the log in timestamp order. The run
+//!    is appended but not synced.
 //! 4. The commit timestamp is stamped on every written item, a fresh
-//!    snapshot is published copy-on-write, and (when history recording
-//!    is on) a [`TxnRecord`] is appended for the oracle.
+//!    detached clone of the canonical store is published as the read
+//!    snapshot, and (when history recording is on) a [`TxnRecord`] is
+//!    appended for the oracle.
 //!
 //! Commit-time work runs under one commit mutex; everything before it
 //! — reads, planned queries, constraint checks, conflict-free
@@ -36,16 +38,18 @@
 //!
 //! # Durability under concurrency
 //!
-//! With a grouped [`GroupCommitPolicy`] (see
-//! [`MvccStore::set_group_commit`]) step 3 only *buffers* the WAL run;
-//! the committer publishes, releases the commit mutex, and then waits
-//! for the covering `sync_data` — issued once per batch by an elected
-//! leader — before `commit()` returns. Acknowledged never means lost:
-//! a crash can lose only transactions whose `commit()` had not yet
-//! returned, and recovery still lands on a commit-order prefix. A
-//! failed group sync surfaces as [`CommitError::SyncFailed`]: the
-//! commit stands in memory but is not acknowledged as durable, and the
-//! poisoned log fails later commits loudly.
+//! After publishing, the committer releases the commit mutex and only
+//! then waits for the `sync_data` covering its WAL run before
+//! `commit()` returns. That sync is issued by an elected leader, at
+//! once, and covers every run appended before it — commits that
+//! arrive while it runs form the next leader's batch. A commit is
+//! therefore visible to new snapshots before it is durable, but
+//! acknowledged never means lost: a crash can lose only transactions
+//! whose `commit()` had not yet returned, and recovery still lands on
+//! a commit-order prefix. A failed sync surfaces as
+//! [`CommitError::SyncFailed`]: the commit stands in memory but is not
+//! acknowledged as durable, and the latched log fails later commits
+//! loudly.
 //!
 //! [`MvccTxn::commit_pipelined`] splits the two halves apart: it
 //! returns as soon as the commit is published, handing back a
@@ -121,7 +125,7 @@ use crate::oracle::{Item, QueryRecord, TxnRecord};
 use crate::snapshot;
 use crate::store::{DurabilityMode, SnapshotFailure, SnapshotJob, Store, StoreError};
 use crate::txn::{Transaction, TxnOp, TxnOutcome};
-use crate::wal::{DurabilityError, GroupCommitPolicy, WalAck};
+use crate::wal::{DurabilityError, WalAck};
 
 /// Why a [`MvccTxn::commit`] was refused. In every case the shared
 /// store is untouched by the failed transaction — commit is atomic.
@@ -158,14 +162,14 @@ pub enum CommitError {
         /// The store's reason.
         error: StoreError,
     },
-    /// Group commit only: the transaction reached the shared store and
-    /// the log buffer, but the covering `sync_data` **failed** — the
-    /// commit is applied in memory (later snapshots see it) yet may
-    /// not survive a crash. The log is poisoned against further
-    /// appends, so subsequent durable commits fail loudly too. This is
-    /// the concurrent analogue of the single-writer memory-runs-ahead
-    /// contract: acknowledged never means lost, so an un-syncable
-    /// commit is not acknowledged as durable.
+    /// The transaction reached the shared store and the log, but the
+    /// covering `sync_data` **failed** — the commit is applied in memory
+    /// (later snapshots see it) yet may not survive a crash. The log is
+    /// latched against further appends, so subsequent durable commits
+    /// fail loudly too. This is the concurrent analogue of the
+    /// single-writer memory-runs-ahead contract: acknowledged never
+    /// means lost, so an un-syncable commit is not acknowledged as
+    /// durable.
     SyncFailed {
         /// The in-memory commit timestamp the transaction received.
         ts: u64,
@@ -200,7 +204,7 @@ impl fmt::Display for CommitError {
             }
             CommitError::SyncFailed { ts, error } => write!(
                 f,
-                "commit ts {ts} applied in memory but the group sync \
+                "commit ts {ts} applied in memory but its covering sync \
                  failed; durability is not guaranteed: {error}"
             ),
         }
@@ -282,20 +286,12 @@ impl<E: fmt::Debug + fmt::Display> std::error::Error for RunTxnError<E> {}
 
 /// The committed tail of the store, guarded by the commit mutex.
 struct Committed {
-    /// Whether the canonical store's WAL runs under a grouped policy —
-    /// cached here so the hot commit path never takes the group-commit
-    /// mutex (which ack waiters and the sync leader contend on) just to
-    /// read the policy. Kept in step by [`MvccStore::set_group_commit`].
-    grouped: bool,
     /// The canonical store: owns durability; every commit re-applies
     /// its buffered ops here through the ordinary [`Transaction`]
     /// path, so the WAL sees one `Begin…Commit` run per commit, in
-    /// timestamp order.
+    /// timestamp order. Readers see detached clones of it
+    /// ([`Published::snapshot`]), never the durability-owning store.
     store: Store,
-    /// A volatile mirror of `store`, maintained copy-on-write and
-    /// published as the read snapshot. Kept separate so published
-    /// `Arc`s never alias the durability-owning store.
-    mirror: Arc<Store>,
     /// Item → commit timestamp of its latest committed write.
     versions: Arc<FxHashMap<Item, u64>>,
     /// The latest commit timestamp.
@@ -306,10 +302,12 @@ struct Committed {
 }
 
 /// The read-side publication: swapped atomically (under a brief write
-/// lock) after each commit; [`MvccStore::begin`] takes the read lock
-/// only long enough to clone two `Arc`s.
+/// lock, while the commit mutex is held) after each commit;
+/// [`MvccStore::begin`] takes the read lock only long enough to clone
+/// two `Arc`s.
 struct Published {
     ts: u64,
+    /// A volatile detached clone of the canonical store as of `ts`.
     snapshot: Arc<Store>,
     versions: Arc<FxHashMap<Item, u64>>,
 }
@@ -325,9 +323,9 @@ struct Inner {
     /// Lock-free object-id allocation for concurrent sessions.
     next_serial: AtomicU64,
     space: u32,
-    /// Present only for [`DurabilityMode::WalWithSnapshots`]: the
-    /// background worker that writes cadence snapshots off the commit
-    /// path.
+    /// Present only for [`DurabilityMode::WalWithSnapshots`] (and only
+    /// when its thread could spawn): the background worker that writes
+    /// cadence snapshots off the commit path.
     snapshots: Option<SnapshotWorker>,
 }
 
@@ -339,10 +337,6 @@ struct SnapshotWorker {
     tx: Option<Sender<(SnapshotJob, Arc<Store>)>>,
     handle: Option<JoinHandle<()>>,
     progress: Arc<SnapshotProgress>,
-    /// Fallback target when the worker thread could not be spawned
-    /// (resource exhaustion): jobs then run inline on the committing
-    /// thread instead of being dropped.
-    committed: Arc<Mutex<Committed>>,
 }
 
 /// Submitted/completed counters with a condvar, so tests (and shutdown
@@ -371,28 +365,26 @@ impl SnapshotProgress {
 }
 
 impl SnapshotWorker {
-    fn spawn(committed: Arc<Mutex<Committed>>) -> Self {
+    /// Spawns the worker thread, or returns `None` when it cannot be
+    /// spawned (resource exhaustion) — the store then keeps its inline
+    /// snapshot cadence.
+    fn spawn(committed: &Arc<Mutex<Committed>>) -> Option<Self> {
         let (tx, rx) = mpsc::channel();
         let progress = Arc::new(SnapshotProgress {
             counts: Mutex::new((0, 0)),
             cv: Condvar::new(),
         });
         let worker_progress = Arc::clone(&progress);
-        let worker_committed = Arc::clone(&committed);
-        // Thread spawn fails only under resource exhaustion; a
-        // worker-less handle degrades to running snapshot jobs inline
-        // on the committing thread rather than panicking or dropping
-        // them.
+        let worker_committed = Arc::clone(committed);
         let handle = std::thread::Builder::new()
             .name("mvcc-snapshot".into())
             .spawn(move || snapshot_worker(rx, worker_committed, worker_progress))
-            .ok();
-        SnapshotWorker {
-            tx: handle.is_some().then_some(tx),
-            handle,
+            .ok()?;
+        Some(SnapshotWorker {
+            tx: Some(tx),
+            handle: Some(handle),
             progress,
-            committed,
-        }
+        })
     }
 
     fn submit(&self, job: SnapshotJob, snap: Arc<Store>) {
@@ -403,8 +395,6 @@ impl SnapshotWorker {
                 // counter so waiters do not hang.
                 self.progress.completed();
             }
-        } else {
-            run_snapshot_job(job, snap, &self.committed);
         }
     }
 }
@@ -428,30 +418,23 @@ fn snapshot_worker(
     progress: Arc<SnapshotProgress>,
 ) {
     while let Ok((job, snap)) = rx.recv() {
-        run_snapshot_job(job, snap, &committed);
+        let objects: Vec<&Object> = snap.db().objects().collect();
+        let result = snapshot::write_snapshot(
+            &job.dir,
+            job.watermark,
+            job.tracking,
+            &job.touched,
+            &objects,
+        );
+        drop(objects);
+        drop(snap);
+        let mut c = lock(&committed);
+        match result {
+            Ok(_) => c.store.prune_wal_segments(&job.prunable),
+            Err(e) => c.store.note_snapshot_failure(e),
+        }
+        drop(c);
         progress.completed();
-    }
-}
-
-/// One snapshot job, start to finish: dump the published snapshot to
-/// disk, then — under the commit mutex — prune the sealed segments it
-/// covers, or record the failure. Runs on the worker thread normally,
-/// or inline on the committing thread if the worker could not spawn.
-fn run_snapshot_job(job: SnapshotJob, snap: Arc<Store>, committed: &Mutex<Committed>) {
-    let objects: Vec<&Object> = snap.db().objects().collect();
-    let result = snapshot::write_snapshot(
-        &job.dir,
-        job.watermark,
-        job.tracking,
-        &job.touched,
-        &objects,
-    );
-    drop(objects);
-    drop(snap);
-    let mut c = lock(committed);
-    match result {
-        Ok(_) => c.store.prune_wal_segments(&job.prunable),
-        Err(e) => c.store.note_snapshot_failure(e),
     }
 }
 
@@ -487,8 +470,9 @@ impl MvccStore {
     /// spawns the background snapshot worker and switches the store's
     /// cadence to deferred: committers only raise a flag at cadence,
     /// and the worker dumps the already-published `Arc` snapshot off
-    /// the commit path.
-    pub fn with_validation(mut store: Store, validation: ValidationMode) -> Self {
+    /// the commit path. If the thread cannot spawn, the cadence stays
+    /// inline.
+    pub fn with_validation(store: Store, validation: ValidationMode) -> Self {
         let space = store.db().space();
         let next_serial = store
             .db()
@@ -496,30 +480,29 @@ impl MvccStore {
             .map(|o| o.id.serial())
             .max()
             .map_or(0, |m| m + 1);
-        let wants_worker = store.durability_mode() == DurabilityMode::WalWithSnapshots;
-        store.set_deferred_snapshots(wants_worker);
-        let mut mirror = store.detached_clone();
-        // The mirror never feeds the incremental pipeline directly;
-        // keeping its private touched log off stops it growing
-        // unboundedly when the canonical store tracks ids.
-        mirror.track_touched(false);
-        let mirror = Arc::new(mirror);
+        let snapshot = Arc::new(published_clone(&store));
         let versions: Arc<FxHashMap<Item, u64>> = Arc::new(FxHashMap::default());
+        let wants_worker = store.durability_mode() == DurabilityMode::WalWithSnapshots;
         let committed = Arc::new(Mutex::new(Committed {
-            grouped: store.group_commit().is_grouped(),
             store,
-            mirror: Arc::clone(&mirror),
             versions: Arc::clone(&versions),
             ts: 0,
             history: None,
         }));
-        let snapshots = wants_worker.then(|| SnapshotWorker::spawn(Arc::clone(&committed)));
+        let snapshots = if wants_worker {
+            SnapshotWorker::spawn(&committed)
+        } else {
+            None
+        };
+        if snapshots.is_some() {
+            lock(&committed).store.set_deferred_snapshots(true);
+        }
         MvccStore {
             inner: Arc::new(Inner {
                 committed,
                 published: RwLock::new(Published {
                     ts: 0,
-                    snapshot: mirror,
+                    snapshot,
                     versions,
                 }),
                 validation,
@@ -616,7 +599,9 @@ impl MvccStore {
     pub fn drain_touched(&self) -> (Arc<Store>, Vec<ObjectId>) {
         let mut c = lock(&self.inner.committed);
         let touched = c.store.take_touched();
-        (Arc::clone(&c.mirror), touched)
+        // Publication happens under the commit mutex, so the published
+        // snapshot is exactly the state the drained ids describe.
+        (self.read_view(), touched)
     }
 
     /// The canonical store's durability mode.
@@ -636,23 +621,6 @@ impl MvccStore {
     /// [`Store::take_snapshot_error`]).
     pub fn take_snapshot_error(&self) -> Option<SnapshotFailure> {
         lock(&self.inner.committed).store.take_snapshot_error()
-    }
-
-    /// Sets the group-commit policy (see [`Store::set_group_commit`]):
-    /// with a grouped policy, concurrent committers share one
-    /// `sync_data` per batch and block only for the covering sync —
-    /// outside the commit mutex, so the batch forms.
-    pub fn set_group_commit(&self, policy: GroupCommitPolicy) {
-        let mut c = lock(&self.inner.committed);
-        c.store.set_group_commit(policy);
-        // Read back what actually took effect: a volatile store ignores
-        // the policy, and then so does the commit path.
-        c.grouped = c.store.group_commit().is_grouped();
-    }
-
-    /// The group-commit policy in effect.
-    pub fn group_commit(&self) -> GroupCommitPolicy {
-        lock(&self.inner.committed).store.group_commit()
     }
 
     /// Sets the WAL segment rotation threshold (see
@@ -926,18 +894,13 @@ impl MvccTxn {
     /// `commit timestamp == begin timestamp` — they are serializable
     /// at their snapshot position by construction and skip validation
     /// entirely.
+    ///
+    /// On a durable store this returns only after a sync covering the
+    /// commit succeeded. [`CommitError::SyncFailed`] means the commit
+    /// stands in memory but may not survive a crash; the log is
+    /// latched, so nothing later is acknowledged either.
     pub fn commit(self) -> Result<u64, CommitError> {
-        let (ts, ack) = self.commit_start()?;
-        // Only now — commit mutex released, later committers free to
-        // join the batch — wait for the covering sync. `Err` means the
-        // commit stands in memory but may not survive a crash; the log
-        // is poisoned, so nothing later is acknowledged either.
-        if let Some(ack) = ack {
-            if let Err(error) = ack.wait() {
-                return Err(CommitError::SyncFailed { ts, error });
-            }
-        }
-        Ok(ts)
+        self.commit_pipelined()?.wait()
     }
 
     /// Validates and commits like [`MvccTxn::commit`], but does **not**
@@ -945,24 +908,16 @@ impl MvccTxn {
     /// caller redeems with [`CommitTicket::wait`] whenever it needs the
     /// durability acknowledgement.
     ///
-    /// This is the pipelined flavour of group commit: a session can
-    /// keep several commits in flight and wait for their tickets in
-    /// batches, so the group leader's one `sync_data` covers far more
-    /// than one commit per session. On return the commit is already
-    /// *published* — visible to every later snapshot — but until the
-    /// ticket is waited on it is not *acknowledged*: a crash in the gap
-    /// may lose it (together with everything after it, never anything
-    /// before — recovery still lands on a commit-order prefix).
-    /// Dropping the ticket forfeits the acknowledgement, nothing else.
+    /// A session can keep several commits in flight and wait for their
+    /// tickets in batches, so the group leader's one `sync_data` covers
+    /// far more than one commit per session. On return the commit is
+    /// already *published* — visible to every later snapshot — but
+    /// until the ticket is waited on it is not *acknowledged*: a crash
+    /// in the gap may lose it (together with everything after it, never
+    /// anything before — recovery still lands on a commit-order
+    /// prefix). Dropping the ticket forfeits the acknowledgement,
+    /// nothing else.
     pub fn commit_pipelined(self) -> Result<CommitTicket, CommitError> {
-        let (ts, ack) = self.commit_start()?;
-        Ok(CommitTicket { ts, ack })
-    }
-
-    /// Shared commit path: everything up to (not including) the wait
-    /// for the covering sync. Returns the commit timestamp and the WAL
-    /// ack to wait on, if the store is durable and grouped.
-    fn commit_start(self) -> Result<(u64, Option<WalAck>), CommitError> {
         let MvccTxn {
             store,
             begin_ts,
@@ -988,7 +943,10 @@ impl MvccTxn {
                     queries,
                 });
             }
-            return Ok((begin_ts, None));
+            return Ok(CommitTicket {
+                ts: begin_ts,
+                ack: None,
+            });
         }
 
         // 1. First-committer-wins on the object write set.
@@ -1018,11 +976,10 @@ impl MvccTxn {
         }
 
         // 3. Re-commit through the canonical store: full constraint
-        // enforcement plus the WAL `Begin…Commit` bracket. Under a
-        // grouped policy the run is only buffered — the covering
-        // `sync_data` is the group leader's, and this committer waits
-        // for it *after* releasing the commit mutex, so the batch can
-        // form while it publishes.
+        // enforcement plus the WAL `Begin…Commit` bracket. The run is
+        // only appended — the covering `sync_data` is the group
+        // leader's, and this committer waits for it *after* releasing
+        // the commit mutex, so the batch can form while it publishes.
         // The canonical pass consumes an owned op list; keep the
         // original around only if the history recorder needs it.
         let mut ops = ops;
@@ -1031,20 +988,11 @@ impl MvccTxn {
         } else {
             std::mem::take(&mut ops)
         };
-        let ack = if c.grouped {
-            match Transaction::from_ops(canonical_ops).commit_deferred(&mut c.store) {
-                (TxnOutcome::RolledBack { failed_at, error }, _) => {
-                    return Err(CommitError::Rejected { failed_at, error });
-                }
-                (TxnOutcome::Committed { .. }, ack) => ack,
+        let ack = match Transaction::from_ops(canonical_ops).commit_deferred(&mut c.store) {
+            (TxnOutcome::RolledBack { failed_at, error }, _) => {
+                return Err(CommitError::Rejected { failed_at, error });
             }
-        } else {
-            match Transaction::from_ops(canonical_ops).commit(&mut c.store) {
-                TxnOutcome::RolledBack { failed_at, error } => {
-                    return Err(CommitError::Rejected { failed_at, error });
-                }
-                TxnOutcome::Committed { .. } => None,
-            }
+            (TxnOutcome::Committed { .. }, ack) => ack,
         };
 
         // 4. Stamp versions and publish a fresh snapshot.
@@ -1065,10 +1013,8 @@ impl MvccTxn {
         // Publish a fresh snapshot of the canonical store. Cloning is
         // cheap by construction — the database shares its schema and
         // objects behind `Arc`s — so re-cloning every commit beats
-        // maintaining a copy-on-write mirror by re-applying the ops.
-        let mut fresh = c.store.detached_clone();
-        fresh.track_touched(false);
-        c.mirror = Arc::new(fresh);
+        // keeping a second store in step by re-applying the ops.
+        let snapshot = Arc::new(published_clone(&c.store));
         if let Some(h) = &mut c.history {
             h.push(TxnRecord {
                 txn: h.len(),
@@ -1080,19 +1026,19 @@ impl MvccTxn {
                 queries,
             });
         }
-        let published = Published {
-            ts,
-            snapshot: Arc::clone(&c.mirror),
-            versions: Arc::clone(&c.versions),
-        };
         // If the cadence fell due on this commit, capture the snapshot
-        // job (sealing the active segment) together with the mirror —
-        // which is exactly the extension at the job's watermark — for
-        // the background worker.
+        // job (sealing the active segment) together with the published
+        // snapshot — which is exactly the extension at the job's
+        // watermark — for the background worker.
         let snapshot_job = c
             .store
             .take_snapshot_job()
-            .map(|job| (job, Arc::clone(&c.mirror)));
+            .map(|job| (job, Arc::clone(&snapshot)));
+        let published = Published {
+            ts,
+            snapshot,
+            versions: Arc::clone(&c.versions),
+        };
         // Publish while still holding the commit mutex, so snapshots
         // become visible in commit order.
         *inner
@@ -1105,8 +1051,18 @@ impl MvccTxn {
                 w.submit(job, snap);
             }
         }
-        Ok((ts, ack))
+        Ok(CommitTicket { ts, ack })
     }
+}
+
+/// The read snapshot of `store`: a detached clone whose private
+/// touched log is off, so it never grows when the canonical store
+/// tracks ids — the snapshot never feeds the incremental pipeline
+/// directly.
+fn published_clone(store: &Store) -> Store {
+    let mut snap = store.detached_clone();
+    snap.track_touched(false);
+    snap
 }
 
 /// The durability IOU from [`MvccTxn::commit_pipelined`]: the commit is
@@ -1133,8 +1089,8 @@ impl CommitTicket {
     }
 
     /// Blocks until the commit is durable and returns its timestamp.
-    /// For volatile or non-grouped stores the commit was already as
-    /// durable as it will ever be, and this returns immediately.
+    /// For volatile stores and read-only transactions there is nothing
+    /// to sync, and this returns immediately.
     pub fn wait(self) -> Result<u64, CommitError> {
         if let Some(ack) = &self.ack {
             if let Err(error) = ack.wait() {
@@ -1152,5 +1108,63 @@ impl fmt::Debug for MvccTxn {
             .field("ops", &self.ops.len())
             .field("reads", &self.reads.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use interop_constraint::Catalog;
+    use interop_model::{ClassDef, Database, Schema, Type};
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_sync_fails_the_commit_but_it_stands() {
+        let dir = std::env::temp_dir().join(format!("interop-mvcc-sync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::new("S", vec![ClassDef::new("Item").attr("v", Type::Int)]).unwrap();
+        let store = Store::open(
+            Database::new(schema, 1),
+            Catalog::new(),
+            &dir,
+            DurabilityMode::Wal,
+        )
+        .unwrap();
+        let mvcc = MvccStore::new(store);
+        // `/dev/null` takes the run's bytes, and its `fdatasync` fails.
+        let null = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/null")
+            .unwrap();
+        let real = {
+            let mut c = lock(&mvcc.inner.committed);
+            c.store
+                .wal_for_test()
+                .unwrap()
+                .swap_file_for_test(Arc::new(null))
+        };
+        let mut t = mvcc.begin();
+        let id = t.create("Item", vec![("v", Value::int(1))]).unwrap();
+        match t.commit() {
+            Err(CommitError::SyncFailed { ts: 1, .. }) => {}
+            other => panic!("expected SyncFailed, got {other:?}"),
+        }
+        assert!(
+            mvcc.read_view().db().object(id).is_some(),
+            "the commit stands in memory"
+        );
+        // Even with the real file back, the latched log refuses every
+        // later commit.
+        drop(
+            lock(&mvcc.inner.committed)
+                .store
+                .wal_for_test()
+                .unwrap()
+                .swap_file_for_test(real),
+        );
+        let mut t = mvcc.begin();
+        t.create("Item", vec![("v", Value::int(2))]).unwrap();
+        assert!(matches!(t.commit(), Err(CommitError::Rejected { .. })));
+        assert_eq!(mvcc.last_commit_ts(), 1);
     }
 }

@@ -25,9 +25,7 @@ use interop_model::{AttrName, ClassName, Database, ModelError, Object, ObjectId,
 use crate::index::{CompositeIndex, HashIndex, IndexSet, KeyIndex, SortedIndex};
 use crate::snapshot;
 use crate::stats::{AttrStats, PairSketch};
-use crate::wal::{
-    self, DurabilityError, GroupCommitPolicy, SealedSegment, SegmentedWal, WalRecord,
-};
+use crate::wal::{self, DurabilityError, SealedSegment, SegmentedWal, WalRecord};
 
 /// Errors from store operations.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,15 +56,17 @@ pub enum StoreError {
         /// The object already holding the key.
         holder: ObjectId,
     },
-    /// The durability layer failed **before** anything reached the log
-    /// (WAL append, or an explicit [`Store::snapshot_now`]). The
-    /// in-memory state of the failing operation is decided by the call
-    /// site: single store operations stay applied (memory runs ahead of
-    /// the log, reported loudly); transaction commits roll back so
-    /// memory and log agree. A failure *after* the commit is durable —
-    /// the automatic snapshot cadence — never surfaces here: the commit
-    /// stands and the error is reported via
-    /// [`Store::take_snapshot_error`].
+    /// The durability layer failed: a WAL append, the sync that covers
+    /// it, or an explicit [`Store::snapshot_now`]. The in-memory state
+    /// of the failing operation is decided by the call site: single
+    /// store operations stay applied (memory runs ahead of the log,
+    /// reported loudly); transaction commits roll back. A failed append
+    /// leaves nothing of the operation in the log. A failed sync
+    /// latches the log, which refuses every later write, and whether
+    /// the unsynced run survives a restart is unknown. A failure
+    /// *after* the commit is durable — the automatic snapshot cadence —
+    /// never surfaces here: the commit stands and the error is reported
+    /// via [`Store::take_snapshot_error`].
     Durability(DurabilityError),
 }
 
@@ -570,8 +570,7 @@ impl Store {
                 break;
             }
         }
-        // Fresh directories start at segment 1 (`wal.log` is the legacy
-        // segment 0, still readable above).
+        // Fresh directories start at segment 1.
         let (active_seq, valid_len) = boundary.unwrap_or((1, 0));
         // Segments past the boundary hold only discarded bytes.
         let mut removed_any = false;
@@ -703,10 +702,11 @@ impl Store {
     /// since the last poll, if any: the **first** error plus the total
     /// attempt count — later failures never overwrite the first, so the
     /// history is not silently collapsed into the newest symptom.
-    /// Automatic snapshots run after the triggering commit is already
-    /// durable in the WAL, so their failure cannot fail the commit — it
-    /// is surfaced here instead, and the cadence retries on the next
-    /// committed transaction.
+    /// Automatic snapshots run only once the triggering commit can no
+    /// longer fail — for a single writer, after its covering sync — so
+    /// their failure cannot fail the commit: it is surfaced here
+    /// instead, and the cadence retries on the next committed
+    /// transaction.
     pub fn take_snapshot_error(&mut self) -> Option<SnapshotFailure> {
         let d = self.durability.as_deref_mut()?;
         let first = d.snapshot_error.take()?;
@@ -727,39 +727,40 @@ impl Store {
         }
     }
 
-    /// Appends one committed single-operation transaction (`Begin`,
-    /// `rec`, `Commit`) to the WAL — or, inside an explicit
-    /// transaction, buffers `rec` until [`Store::wal_txn_commit`].
-    /// No-op when durability is off.
+    /// Buffers `rec` in the transaction bracket. Outside an explicit
+    /// transaction the op is autocommitted: the bracket closes at once
+    /// ([`Store::wal_txn_commit`]), the run's covering sync is awaited,
+    /// and only then does the transaction count towards the snapshot
+    /// cadence. No-op when durability is off.
     fn wal_op(&mut self, rec: WalRecord) -> Result<(), StoreError> {
         let Some(d) = self.durability.as_deref_mut() else {
             return Ok(());
         };
+        d.pending.push(rec);
         if d.in_txn {
-            d.pending.push(rec);
             return Ok(());
         }
-        let seq = d.txn_seq + 1;
-        d.wal.append_run_synced(
-            &[WalRecord::Begin { seq }, rec, WalRecord::Commit { seq }],
-            seq,
-        )?;
-        d.txn_seq = seq;
-        self.note_committed_txn();
+        if let Some(ack) = self.wal_txn_commit()? {
+            ack.wait()?;
+            self.note_committed_txn();
+        }
         Ok(())
     }
 
     /// Post-commit bookkeeping: counts the transaction towards the
     /// snapshot cadence and snapshots when it is reached — inline here,
     /// or by raising `snapshot_due` for the background worker when
-    /// deferred snapshots are on. Infallible by design — the
-    /// transaction is already durable in the WAL when this runs, so a
-    /// snapshot failure must not propagate into the commit path (a
-    /// caller would roll memory back while the log keeps the commit,
-    /// and replay would diverge on reopen). The error is stashed for
-    /// [`Store::take_snapshot_error`]; the unreset cadence counter
-    /// retries the snapshot on the next commit.
-    fn note_committed_txn(&mut self) {
+    /// deferred snapshots are on. Called once the commit can no longer
+    /// fail: a single writer calls it after the covering sync
+    /// succeeded, an MVCC committer right after the append (its commit
+    /// stands from then on, and an inline snapshot's reset covers the
+    /// run). Infallible by design — a snapshot failure must not
+    /// propagate into the commit path (a caller would roll memory back
+    /// while the log keeps the commit, and replay would diverge on
+    /// reopen). The error is stashed for [`Store::take_snapshot_error`];
+    /// the unreset cadence counter retries the snapshot on the next
+    /// commit.
+    pub(crate) fn note_committed_txn(&mut self) {
         let Some(d) = self.durability.as_deref_mut() else {
             return;
         };
@@ -798,8 +799,6 @@ impl Store {
     /// both to the worker; [`Store::prune_wal_segments`] runs after the
     /// snapshot file is durable.
     pub(crate) fn take_snapshot_job(&mut self) -> Option<SnapshotJob> {
-        let tracking = self.touched_log.is_some();
-        let touched = self.touched_log.clone().unwrap_or_default();
         let d = self.durability.as_deref_mut()?;
         if !d.snapshot_due {
             return None;
@@ -810,10 +809,7 @@ impl Store {
             if let Err(e) = d.wal.rotate() {
                 // The snapshot never started; count it as a failed
                 // attempt and let the cadence retry.
-                d.snapshot_failures += 1;
-                if d.snapshot_error.is_none() {
-                    d.snapshot_error = Some(e);
-                }
+                self.note_snapshot_failure(e);
                 return None;
             }
         }
@@ -821,8 +817,8 @@ impl Store {
         Some(SnapshotJob {
             dir: d.dir.clone(),
             watermark,
-            tracking,
-            touched,
+            tracking: self.touched_log.is_some(),
+            touched: self.touched_log.clone().unwrap_or_default(),
             prunable: d.wal.prunable(watermark),
         })
     }
@@ -835,32 +831,8 @@ impl Store {
             return;
         };
         if let Err(e) = d.wal.prune_sealed(seqs) {
-            d.snapshot_failures += 1;
-            if d.snapshot_error.is_none() {
-                d.snapshot_error = Some(e);
-            }
+            self.note_snapshot_failure(e);
         }
-    }
-
-    /// Sets the group-commit policy (how commits share fsyncs). The
-    /// default syncs every commit before acknowledging it. Grouping
-    /// takes effect for concurrent MVCC committers, whose
-    /// acknowledgement can wait outside the commit path; the plain
-    /// single-writer store always syncs before returning (there is
-    /// nobody to share the sync with, so dwelling would only add
-    /// latency). No effect when durability is off.
-    pub fn set_group_commit(&mut self, policy: GroupCommitPolicy) {
-        if let Some(d) = self.durability.as_deref() {
-            d.wal.group().set_policy(policy);
-        }
-    }
-
-    /// The group-commit policy in effect (the sync-per-commit default
-    /// when durability is off).
-    pub fn group_commit(&self) -> GroupCommitPolicy {
-        self.durability
-            .as_deref()
-            .map_or_else(GroupCommitPolicy::default, |d| d.wal.group().policy())
     }
 
     /// Sets the WAL segment rotation threshold in bytes (clamped to at
@@ -869,6 +841,13 @@ impl Store {
         if let Some(d) = self.durability.as_deref_mut() {
             d.wal.set_segment_bytes(bytes);
         }
+    }
+
+    /// The write-ahead log — test hook for forcing sync failures
+    /// through the commit paths. `None` when durability is off.
+    #[cfg(test)]
+    pub(crate) fn wal_for_test(&mut self) -> Option<&mut SegmentedWal> {
+        self.durability.as_deref_mut().map(|d| &mut d.wal)
     }
 
     /// Opens a WAL transaction bracket: subsequent mutator deltas are
@@ -881,56 +860,18 @@ impl Store {
     }
 
     /// Closes the bracket successfully: appends the buffered deltas as
-    /// one contiguous `Begin … Commit` run (nothing, for an empty
-    /// transaction). On append failure the transaction is **not**
-    /// durable; the caller must roll the in-memory state back so memory
-    /// and log agree. `Err` is returned **only** for append failures:
-    /// once the append succeeds the transaction is committed for good,
-    /// and post-commit work (the snapshot cadence) runs best-effort.
-    pub(crate) fn wal_txn_commit(&mut self) -> Result<(), StoreError> {
-        let Some(d) = self.durability.as_deref_mut() else {
-            return Ok(());
-        };
-        if !d.in_txn {
-            return Ok(());
-        }
-        d.in_txn = false;
-        let pending = std::mem::take(&mut d.pending);
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let seq = d.txn_seq + 1;
-        let mut frames = Vec::with_capacity(pending.len() + 2);
-        frames.push(WalRecord::Begin { seq });
-        frames.extend(pending);
-        frames.push(WalRecord::Commit { seq });
-        d.wal.append_run_synced(&frames, seq)?;
-        d.txn_seq = seq;
-        self.note_committed_txn();
-        Ok(())
-    }
-
-    /// The group-commit variant of [`Store::wal_txn_commit`]: the run
-    /// is buffered into the log and the covering `sync_data` is left to
-    /// the group leader — the returned ack blocks until it lands.
-    /// `Ok(None)` means there was nothing to log (no durability, no
-    /// bracket, or an empty transaction).
-    ///
-    /// The contract differs from the synced variant in one way: once
-    /// this returns `Ok`, the transaction **cannot be rolled back** —
-    /// its frames sit in the file ahead of later committers' frames, so
-    /// a failure of the covering sync is reported through
-    /// [`wal::WalAck::wait`] (and poisons the log against further
-    /// appends) while the in-memory commit stands, exactly like the
-    /// loudly-reported memory-runs-ahead semantics of single-op
-    /// durability failures.
-    pub(crate) fn wal_txn_commit_deferred(&mut self) -> Result<Option<wal::WalAck>, StoreError> {
+    /// one contiguous `Begin … Commit` run **without syncing** and
+    /// returns the ack of its covering sync — `None` when nothing was
+    /// logged (no durability, or an empty transaction). A single writer
+    /// waits on the ack at once; MVCC committers wait on it outside the
+    /// commit mutex. Either then counts the transaction towards the
+    /// snapshot cadence ([`Store::note_committed_txn`]). `Err` is
+    /// returned **only** for append failures, which leave nothing of
+    /// the transaction in the log.
+    pub(crate) fn wal_txn_commit(&mut self) -> Result<Option<wal::WalAck>, StoreError> {
         let Some(d) = self.durability.as_deref_mut() else {
             return Ok(None);
         };
-        if !d.in_txn {
-            return Ok(None);
-        }
         d.in_txn = false;
         let pending = std::mem::take(&mut d.pending);
         if pending.is_empty() {
@@ -943,8 +884,18 @@ impl Store {
         frames.push(WalRecord::Commit { seq });
         let ack = d.wal.append_run(&frames, seq)?;
         d.txn_seq = seq;
-        self.note_committed_txn();
         Ok(Some(ack))
+    }
+
+    /// Logs a best-effort marker record and waits for its covering
+    /// sync; errors are dropped (a failed sync still latches the log).
+    fn wal_marker(&mut self, rec: WalRecord) {
+        if let Some(d) = self.durability.as_deref_mut() {
+            let _ = d
+                .wal
+                .append_run(&[rec], d.txn_seq)
+                .and_then(|ack| ack.wait());
+        }
     }
 
     /// Closes the bracket after a rollback: the buffered deltas (and
@@ -955,8 +906,8 @@ impl Store {
         if let Some(d) = self.durability.as_deref_mut() {
             d.in_txn = false;
             d.pending.clear();
-            let _ = d.wal.append_run_synced(&[WalRecord::Rollback], d.txn_seq);
         }
+        self.wal_marker(WalRecord::Rollback);
     }
 
     /// Immutable access to the underlying database.
@@ -1072,11 +1023,7 @@ impl Store {
         // stays out of) incremental mode. Best-effort: losing the
         // marker only costs the next open a conservative tracking
         // state, never correctness of the data itself.
-        if let Some(d) = self.durability.as_deref_mut() {
-            let _ = d
-                .wal
-                .append_run_synced(&[WalRecord::TrackTouched { on }], d.txn_seq);
-        }
+        self.wal_marker(WalRecord::TrackTouched { on });
     }
 
     /// Drains the touched-id log (sorted, deduplicated). Empty when
@@ -1093,11 +1040,7 @@ impl Store {
         // lost marker means recovery re-offers ids whose objects the
         // pipeline then re-examines and finds unchanged — safe.
         if !out.is_empty() {
-            if let Some(d) = self.durability.as_deref_mut() {
-                let _ = d
-                    .wal
-                    .append_run_synced(&[WalRecord::TouchedDrain], d.txn_seq);
-            }
+            self.wal_marker(WalRecord::TouchedDrain);
         }
         out
     }

@@ -153,32 +153,60 @@ impl Transaction {
     ///
     /// On a durable store the whole transaction reaches the write-ahead
     /// log as **one contiguous `Begin … Commit` run, appended only on
-    /// success**: per-operation deltas are buffered while the
-    /// transaction runs, a rollback discards them (crash recovery then
-    /// sees nothing of the transaction), and a WAL append failure rolls
-    /// the in-memory state back too, so memory never claims a commit
-    /// the log doesn't hold.
+    /// success** and synced before this returns: per-operation deltas
+    /// are buffered while the transaction runs, and a rollback discards
+    /// them (crash recovery then sees nothing of the transaction). A
+    /// single writer is a group-commit batch of one: it waits on its own
+    /// ack, and its sync is issued at once. Only after that sync does
+    /// the transaction count towards the snapshot cadence, so a failed
+    /// automatic snapshot never un-commits it. If the append or its
+    /// sync fails, the in-memory state rolls back too and the outcome
+    /// is [`TxnOutcome::RolledBack`]. A failed append leaves nothing in
+    /// the log; a failed sync latches the log against every later
+    /// write, and whether the unsynced run survives a restart is
+    /// unknown.
     pub fn commit(self, store: &mut Store) -> TxnOutcome {
-        self.commit_inner(store, false).0
+        self.commit_with(store, |s| {
+            if let Some(ack) = s.wal_txn_commit()? {
+                ack.wait()?;
+                s.note_committed_txn();
+            }
+            Ok(None)
+        })
+        .0
     }
 
-    /// The group-commit variant of [`Transaction::commit`]: identical
-    /// up to the WAL append, but the run is only *buffered* into the
-    /// log — the covering `sync_data` is left to the group-commit
-    /// leader, and the returned [`WalAck`] (present only when
-    /// durability actually logged something) blocks until it lands.
+    /// [`Transaction::commit`] for a committer that waits for the
+    /// covering sync later: identical up to the WAL append, but the run
+    /// is not synced here — the returned [`WalAck`] (present only when
+    /// durability actually logged something) blocks until a covering
+    /// sync lands. The transaction counts towards the snapshot cadence
+    /// at once: from the append on it stands.
     ///
     /// An **append** failure still rolls the in-memory state back,
-    /// exactly like [`Transaction::commit`]. A failure of the deferred
+    /// exactly like [`Transaction::commit`]. A failure of the covering
     /// sync, by contrast, is reported through [`WalAck::wait`] while
     /// the in-memory commit stands — the frames sit in the file ahead
     /// of later committers' frames, so they cannot be truncated away;
     /// the MVCC layer surfaces this as a loud commit error.
     pub(crate) fn commit_deferred(self, store: &mut Store) -> (TxnOutcome, Option<WalAck>) {
-        self.commit_inner(store, true)
+        self.commit_with(store, |s| {
+            let ack = s.wal_txn_commit()?;
+            if ack.is_some() {
+                s.note_committed_txn();
+            }
+            Ok(ack)
+        })
     }
 
-    fn commit_inner(self, store: &mut Store, deferred: bool) -> (TxnOutcome, Option<WalAck>) {
+    /// Applies the operations, then closes the WAL bracket with
+    /// `finish`; a violation or a `finish` failure rolls every applied
+    /// operation back.
+    fn commit_with(
+        self,
+        store: &mut Store,
+        finish: impl FnOnce(&mut Store) -> Result<Option<WalAck>, StoreError>,
+    ) -> (TxnOutcome, Option<WalAck>) {
         /// A recorded inverse operation, applied newest-first on
         /// rollback. A plain enum (not a boxed closure) keeps the
         /// commit hot path free of one heap allocation per operation.
@@ -247,16 +275,11 @@ impl Transaction {
             }
         }
         let applied = undo.len();
-        let finish = if deferred {
-            store.wal_txn_commit_deferred()
-        } else {
-            store.wal_txn_commit().map(|()| None)
-        };
-        match finish {
+        match finish(store) {
             Ok(ack) => (TxnOutcome::Committed { applied }, ack),
             Err(error) => {
-                // The log refused the transaction: roll memory back so
-                // the two agree, and report the durability failure.
+                // The log refused the transaction or could not sync it:
+                // roll memory back and report the durability failure.
                 store.wal_txn_begin();
                 for u in undo.into_iter().rev() {
                     u.apply(store);
@@ -281,6 +304,11 @@ mod tests {
     use interop_model::{ClassDef, ClassName, Database, DbName, Schema, Type};
 
     fn store() -> Store {
+        let (db, cat) = parts();
+        Store::new(db, cat)
+    }
+
+    fn parts() -> (Database, Catalog) {
         let schema = Schema::new(
             "DB1",
             vec![ClassDef::new("Employee")
@@ -302,7 +330,7 @@ mod tests {
             "Employee",
             Formula::cmp("salary", CmpOp::Lt, 1500.0),
         ));
-        Store::new(Database::new(schema, 1), cat)
+        (Database::new(schema, 1), cat)
     }
 
     fn emp(store: &mut Store, ssn: &str, salary: f64, reimb: i64) -> Object {
@@ -472,6 +500,122 @@ mod tests {
 
     fn interop_constraint_optimizer(s: &Store) -> crate::optimize::Optimizer {
         crate::optimize::Optimizer::new(s, "Employee", vec![])
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_sync_rolls_back_and_latches_the_log() {
+        use crate::store::DurabilityMode;
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join(format!("interop-txn-sync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (db, cat) = parts();
+        let mut s = Store::open(db, cat, &dir, DurabilityMode::Wal).unwrap();
+        // `/dev/null` takes the run's bytes, and its `fdatasync` fails.
+        let null = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/null")
+            .unwrap();
+        let wal = s.wal_for_test().unwrap();
+        let real = wal.swap_file_for_test(Arc::new(null));
+        let a = emp(&mut s, "1", 1000.0, 10);
+        match Transaction::new().insert(a).commit(&mut s) {
+            TxnOutcome::RolledBack {
+                failed_at: 1,
+                error: StoreError::Durability(_),
+            } => {}
+            other => panic!("expected a durability rollback, got {other:?}"),
+        }
+        assert_eq!(s.db().len(), 0, "memory rolled back");
+        // Even with the real file back, the latched log refuses every
+        // later write.
+        drop(s.wal_for_test().unwrap().swap_file_for_test(real));
+        let b = emp(&mut s, "2", 1000.0, 10);
+        assert!(matches!(
+            Transaction::new().insert(b.clone()).commit(&mut s),
+            TxnOutcome::RolledBack { .. }
+        ));
+        assert!(matches!(s.insert(b), Err(StoreError::Durability(_))));
+    }
+
+    /// A durable store in `WalWithSnapshots` mode that snapshots after
+    /// every commit, in a fresh directory.
+    fn snapshotting_store(name: &str) -> (Store, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("interop-txn-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (db, cat) = parts();
+        let mut s = Store::open(
+            db,
+            cat,
+            &dir,
+            crate::store::DurabilityMode::WalWithSnapshots,
+        )
+        .unwrap();
+        s.set_snapshot_every(1);
+        (s, dir)
+    }
+
+    fn reopen(dir: &std::path::Path) -> Store {
+        let (db, cat) = parts();
+        Store::open(db, cat, dir, crate::store::DurabilityMode::WalWithSnapshots).unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_sync_never_reaches_the_snapshot_cadence() {
+        let (mut s, dir) = snapshotting_store("sync-cadence");
+        let null = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/null")
+            .unwrap();
+        let real = s
+            .wal_for_test()
+            .unwrap()
+            .swap_file_for_test(std::sync::Arc::new(null));
+        let a = emp(&mut s, "1", 1000.0, 10);
+        assert!(matches!(
+            Transaction::new().insert(a).commit(&mut s),
+            TxnOutcome::RolledBack {
+                error: StoreError::Durability(_),
+                ..
+            }
+        ));
+        // The sync failed before the cadence ran, so no snapshot holds
+        // the rolled-back run and none failed.
+        assert!(s.take_snapshot_error().is_none(), "no snapshot attempted");
+        drop(s.wal_for_test().unwrap().swap_file_for_test(real));
+        drop(s);
+        assert_eq!(reopen(&dir).db().len(), 0, "nothing recovers the run");
+    }
+
+    #[test]
+    fn failed_snapshot_reset_leaves_the_commit_committed() {
+        let (mut s, dir) = snapshotting_store("reset-cadence");
+        s.wal_for_test().unwrap().fail_next_truncate_for_test();
+        let a = emp(&mut s, "1", 1000.0, 10);
+        assert!(
+            matches!(
+                Transaction::new().insert(a).commit(&mut s),
+                TxnOutcome::Committed { applied: 1 }
+            ),
+            "the sync succeeded before the cadence ran: the commit stands"
+        );
+        let err = s.take_snapshot_error().expect("the reset failure surfaced");
+        assert!(err
+            .first
+            .to_string()
+            .contains("injected truncation failure"));
+        // A failed truncation does not latch: the next commit goes
+        // through, and its cadence retries the snapshot.
+        assert_eq!(s.db().len(), 1);
+        let b = emp(&mut s, "2", 1000.0, 20);
+        assert!(matches!(
+            Transaction::new().insert(b).commit(&mut s),
+            TxnOutcome::Committed { applied: 1 }
+        ));
+        assert!(s.take_snapshot_error().is_none(), "retry succeeded");
+        drop(s);
+        assert_eq!(reopen(&dir).db().len(), 2, "both commits recovered");
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //!
 //! # Segments
 //!
-//! The log is a sequence of files `wal-{seq:020}.log` ([`SegmentedWal`]);
-//! the pre-rotation layout's single `wal.log` is still read as segment 0.
+//! The log is a sequence of files `wal-{seq:020}.log` ([`SegmentedWal`]).
 //! Appends go to the highest (*active*) segment; when it crosses the
 //! size threshold it is *sealed* — one final `sync_data`, so every byte
 //! of a sealed segment is durable by construction — and the next
@@ -47,26 +46,28 @@
 //!
 //! # Group commit
 //!
-//! [`WalWriter::append_buffered`] writes frames without syncing;
-//! [`GroupSync`] tracks which appends a `sync_data` has covered.
-//! Committers enqueue their frame runs (serialized by the store's
-//! commit path), then [`WalAck::wait`]: the first uncovered waiter
-//! elects itself leader, optionally dwells for up to
-//! [`GroupCommitPolicy::max_delay_us`] or until
-//! [`GroupCommitPolicy::max_batch`] runs are pending, issues **one**
-//! `sync_data` for the whole batch, and wakes every covered waiter. A
-//! commit is acknowledged only after its covering sync, so
-//! *acknowledged ≠ lost* is preserved: a crash can lose only
-//! unacknowledged tail transactions. The default policy (batch 1,
-//! no delay) reproduces the historical sync-per-commit behaviour
-//! exactly.
+//! Every run reaches the log one way, [`SegmentedWal::append_run`],
+//! which writes its frames without syncing and returns a [`WalAck`];
+//! [`GroupSync`] owns every sync of the log and tracks which appends
+//! a sync has covered. On [`WalAck::wait`] the first uncovered waiter
+//! elects itself leader, issues **one** `sync_data` covering everything
+//! appended so far, and wakes every covered waiter; runs appended while
+//! it syncs form the next leader's batch. A single writer is a batch of
+//! one: its wait syncs at once. A commit is acknowledged only after its
+//! covering sync, so *acknowledged ≠ lost* is preserved: a crash can
+//! lose only unacknowledged tail transactions.
+//!
+//! A failed sync **latches** the log, whichever path issued it: a
+//! leader's sync, the seal of a segment, or the `sync_all` of a
+//! snapshot reset. After an fsync error the file's page-cache state is
+//! unknowable and a retried fsync can falsely succeed, so from then on
+//! nothing is appended, synced or acknowledged.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use interop_model::{AttrName, ClassName, Object, ObjectId, Value, R64};
 
@@ -520,9 +521,8 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, DurabilityError> {
 /// An append handle over one WAL segment file. Opening truncates the
 /// file to `valid_len` (discarding any torn tail found by [`scan_wal`])
 /// and positions at the end. [`WalWriter::append_buffered`] writes a
-/// frame run without syncing (group commit syncs later through
-/// [`GroupSync`]); [`WalWriter::append`] is the historical
-/// write-then-`sync_data` combination.
+/// frame run without syncing; the owning [`SegmentedWal`] routes every
+/// sync through [`GroupSync`].
 #[derive(Debug)]
 pub struct WalWriter {
     /// Shared so a group-commit leader can `sync_data` the segment
@@ -538,6 +538,10 @@ pub struct WalWriter {
     /// does not pay a `seek` syscall per run. Every mutation of the
     /// file's length goes through this writer, which keeps it exact.
     cached_len: u64,
+    /// Test hook: the next [`WalWriter::truncate`] fails, as
+    /// `ftruncate` can, while writes and syncs keep working.
+    #[cfg(test)]
+    fail_truncate: bool,
 }
 
 impl WalWriter {
@@ -561,6 +565,8 @@ impl WalWriter {
             path: path.to_path_buf(),
             poisoned: false,
             cached_len: 0,
+            #[cfg(test)]
+            fail_truncate: false,
         };
         w.cached_len = (&*w.file)
             .seek(SeekFrom::End(0))
@@ -604,28 +610,6 @@ impl WalWriter {
         self.file.sync_data().map_err(|e| io_err(&self.path, e))
     }
 
-    /// Appends `records` as one contiguous frame run and `sync_data`s
-    /// before returning — the pre-group-commit behaviour. On sync
-    /// failure the file is truncated back so the log never acknowledges
-    /// bytes it could not flush.
-    pub fn append(&mut self, records: &[WalRecord]) -> Result<(), DurabilityError> {
-        let start = self.cached_len;
-        self.append_buffered(records)?;
-        if let Err(e) = self.sync() {
-            let restored = self
-                .file
-                .set_len(start)
-                .and_then(|()| (&*self.file).seek(SeekFrom::Start(start)).map(|_| ()));
-            if restored.is_err() {
-                self.poisoned = true;
-            } else {
-                self.cached_len = start;
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
-
     /// The shared handle of the underlying segment file, for the
     /// group-commit leader's out-of-band `sync_data`.
     pub(crate) fn file(&self) -> &Arc<File> {
@@ -633,40 +617,38 @@ impl WalWriter {
     }
 
     /// Swaps the underlying file handle — test hook for forcing append
-    /// failures (e.g. a read-only handle) against a real log file.
+    /// or sync failures (e.g. a read-only handle, or `/dev/null`, whose
+    /// `fdatasync` fails) against a real log file.
     #[cfg(test)]
     fn swap_file_for_test(&mut self, file: Arc<File>) -> Arc<File> {
         std::mem::replace(&mut self.file, file)
     }
 
-    /// Discards the entire log (after a successful snapshot captured
-    /// everything it held).
-    ///
-    /// **Invariant: the truncation is itself durable.** `set_len(0)`
-    /// alone lives only in the page cache; after power loss the old
-    /// length — and the stale committed frames inside it — could come
-    /// back, and only the `seq > watermark` replay filter would stand
-    /// between those resurrected frames and a double-apply. `sync_all`
-    /// (size is metadata, so `sync_data` is not enough) forces the
-    /// truncation to disk before the reset is acknowledged.
-    pub fn reset(&mut self) -> Result<(), DurabilityError> {
+    /// Empties the file (after a snapshot captured everything it held)
+    /// and positions at its start. The new length lives only in the
+    /// page cache until [`WalWriter::sync_all`]; a failed `ftruncate`
+    /// leaves the file as it was.
+    pub fn truncate(&mut self) -> Result<(), DurabilityError> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_truncate) {
+            return Err(DurabilityError::Io(format!(
+                "{}: injected truncation failure",
+                self.path.display()
+            )));
+        }
         self.file.set_len(0).map_err(|e| io_err(&self.path, e))?;
         (&*self.file)
             .seek(SeekFrom::Start(0))
             .map_err(|e| io_err(&self.path, e))?;
-        self.file.sync_all().map_err(|e| io_err(&self.path, e))?;
         self.cached_len = 0;
         Ok(())
     }
 
-    /// Current byte length of the log.
-    pub fn len(&mut self) -> Result<u64, DurabilityError> {
-        Ok(self.cached_len)
-    }
-
-    /// True when the log holds no frames.
-    pub fn is_empty(&mut self) -> Result<bool, DurabilityError> {
-        Ok(self.len()? == 0)
+    /// Flushes data **and** metadata to stable storage — after a
+    /// truncation the length is what must reach the disk, and a size
+    /// change is metadata, so `sync_data` is not enough.
+    pub fn sync_all(&self) -> Result<(), DurabilityError> {
+        self.file.sync_all().map_err(|e| io_err(&self.path, e))
     }
 }
 
@@ -674,92 +656,66 @@ impl WalWriter {
 // Group commit
 // ---------------------------------------------------------------------
 
-/// How commits share fsyncs. The default (`max_batch: 1`,
-/// `max_delay_us: 0`) syncs every commit before acknowledging it —
-/// byte-for-byte the historical behaviour, so grouping is strictly
-/// opt-in. A grouped policy lets the sync leader dwell until
-/// `max_batch` commit runs are buffered or `max_delay_us` has elapsed,
-/// then cover the whole batch with **one** `sync_data`.
+/// The group-commit sync coordinator, through which every sync of the
+/// log passes. Appends are serialized by the store's commit path and
+/// numbered; `synced` is the highest append index a sync has covered.
+/// Waiters for uncovered indexes elect a leader that issues one sync
+/// for everything appended so far; the seal of a segment and the sync
+/// of a snapshot reset cover it too.
 ///
-/// Grouping never weakens *acknowledged ≠ lost*: a commit is
-/// acknowledged only after a sync covering its bytes, so a crash can
-/// lose only transactions that were never acknowledged — and recovery
-/// still lands on a commit-order prefix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupCommitPolicy {
-    /// Sync as soon as this many commit runs are awaiting one.
-    pub max_batch: usize,
-    /// Sync no later than this after the leader started waiting.
-    pub max_delay_us: u64,
-}
-
-impl Default for GroupCommitPolicy {
-    fn default() -> Self {
-        GroupCommitPolicy {
-            max_batch: 1,
-            max_delay_us: 0,
-        }
-    }
-}
-
-impl GroupCommitPolicy {
-    /// A grouped policy (`max_batch` is clamped to at least 1).
-    pub fn grouped(max_batch: usize, max_delay_us: u64) -> Self {
-        GroupCommitPolicy {
-            max_batch: max_batch.max(1),
-            max_delay_us,
-        }
-    }
-
-    /// True when this policy can defer the covering sync past the
-    /// append (anything beyond sync-per-commit-before-ack).
-    pub fn is_grouped(&self) -> bool {
-        self.max_batch > 1 || self.max_delay_us > 0
-    }
-}
-
-/// The group-commit sync coordinator. Appends are serialized by the
-/// store's commit path and numbered; `synced` is the highest append
-/// index a `sync_data` (or a segment seal, or a snapshot reset) has
-/// covered. Waiters for uncovered indexes elect a leader that issues
-/// one sync for everything appended so far.
-///
-/// A failed `sync_data` is **sticky**: after an fsync error the page
-/// cache state of the file is unknowable, so the coordinator records
-/// the first error, every uncovered waiter (present and future) gets
-/// it, and the owning log refuses further appends. Already-covered
-/// indexes stay acknowledged — their bytes were flushed before the
-/// failure.
+/// A failed sync is **sticky**: after an fsync error the page cache
+/// state of the file is unknowable, so the coordinator latches the
+/// first error, every uncovered waiter (present and future) gets it,
+/// no later sync covers anything, and the owning log refuses further
+/// appends. Already-covered indexes stay acknowledged — their bytes
+/// were flushed before the failure.
 #[derive(Debug)]
 pub struct GroupSync {
     state: Mutex<GroupState>,
     /// Waiters parked until a covering sync; notified when `synced`
     /// advances (or the sticky error lands).
     cv_ack: Condvar,
-    /// The dwelling leader, parked until its batch fills; notified
-    /// (once per batch) when `pending` reaches `policy.max_batch`.
-    /// Separate from `cv_ack` so an append never stampedes the parked
-    /// ack waiters — on one core that stampede dominated the commit
-    /// path.
-    cv_batch: Condvar,
 }
 
 #[derive(Debug)]
 struct GroupState {
-    policy: GroupCommitPolicy,
     /// The active segment's shared handle — what the leader syncs.
     file: Option<Arc<File>>,
     /// Total appends so far (monotonic; 1-based).
     appended: u64,
     /// Highest append index known durable.
     synced: u64,
-    /// Appends not yet covered by a sync — the leader's batch-size
-    /// trigger.
-    pending: usize,
-    /// A leader is currently dwelling or syncing.
+    /// A leader is currently syncing.
     leader: bool,
     /// First sync failure, sticky.
     error: Option<DurabilityError>,
+}
+
+impl GroupState {
+    /// Records the outcome of a sync that covered appends up to
+    /// `target`: success advances the durable watermark, failure
+    /// latches. A sync that returns after the log latched covers
+    /// nothing — a retried fsync can falsely succeed — and reports the
+    /// latched error.
+    fn settle(
+        &mut self,
+        target: u64,
+        res: Result<(), DurabilityError>,
+    ) -> Result<(), DurabilityError> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        match res {
+            Ok(()) => {
+                self.synced = self.synced.max(target);
+                Ok(())
+            }
+            Err(e) => {
+                self.error = Some(e.clone());
+                Err(e)
+            }
+        }
+    }
 }
 
 /// A claim ticket for one appended commit run: [`WalAck::wait`] blocks
@@ -774,43 +730,30 @@ pub struct WalAck {
 }
 
 impl WalAck {
-    /// Blocks until the covering sync completes; one waiter becomes the
-    /// leader and issues it.
+    /// Blocks until the covering sync completes; the first uncovered
+    /// waiter becomes the leader and issues it at once.
     pub fn wait(&self) -> Result<(), DurabilityError> {
         self.gc.wait_durable(self.idx)
     }
 }
 
 impl GroupSync {
-    pub(crate) fn new(policy: GroupCommitPolicy) -> Arc<GroupSync> {
+    pub(crate) fn new() -> Arc<GroupSync> {
         Arc::new(GroupSync {
             state: Mutex::new(GroupState {
-                policy,
                 file: None,
                 appended: 0,
                 synced: 0,
-                pending: 0,
                 leader: false,
                 error: None,
             }),
             cv_ack: Condvar::new(),
-            cv_batch: Condvar::new(),
         })
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, GroupState> {
         // The mutex is never held across a panic-capable section.
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn set_policy(&self, policy: GroupCommitPolicy) {
-        self.lock().policy = policy;
-        self.cv_ack.notify_all();
-        self.cv_batch.notify_all();
-    }
-
-    pub(crate) fn policy(&self) -> GroupCommitPolicy {
-        self.lock().policy
     }
 
     /// Fails once a sync has failed — the gate that stops a log from
@@ -826,33 +769,33 @@ impl GroupSync {
     pub(crate) fn note_append(self: &Arc<Self>, file: &Arc<File>) -> WalAck {
         let mut s = self.lock();
         s.appended += 1;
-        s.pending += 1;
         s.file = Some(Arc::clone(file));
-        let idx = s.appended;
-        // Nudge a dwelling leader exactly when its batch trigger fires;
-        // earlier appends let it keep dwelling, and a zero-delay leader
-        // is never parked (it is either off syncing or done).
-        let batch_full = s.leader && s.policy.max_delay_us > 0 && s.pending >= s.policy.max_batch;
-        drop(s);
-        if batch_full {
-            self.cv_batch.notify_one();
-        }
         WalAck {
             gc: Arc::clone(self),
-            idx,
+            idx: s.appended,
         }
     }
 
-    /// Everything appended so far just became durable by other means (a
-    /// segment seal's sync, or a snapshot that captured the log's whole
-    /// contents before it was reset).
-    pub(crate) fn mark_all_synced(&self) {
-        let mut s = self.lock();
-        s.synced = s.appended;
-        s.pending = 0;
-        drop(s);
+    /// Runs `sync`, which must make every append so far durable, and
+    /// records its outcome: success covers them all, failure latches.
+    /// Refused without running `sync` once the log has latched. The
+    /// caller holds the append path exclusively, so nothing is
+    /// appended while `sync` runs.
+    pub(crate) fn sync_appended(
+        &self,
+        sync: impl FnOnce() -> Result<(), DurabilityError>,
+    ) -> Result<(), DurabilityError> {
+        let target = {
+            let s = self.lock();
+            if let Some(e) = &s.error {
+                return Err(e.clone());
+            }
+            s.appended
+        };
+        let res = sync();
+        let out = self.lock().settle(target, res);
         self.cv_ack.notify_all();
-        self.cv_batch.notify_all();
+        out
     }
 
     fn wait_durable(&self, idx: u64) -> Result<(), DurabilityError> {
@@ -868,31 +811,9 @@ impl GroupSync {
                 s = self.cv_ack.wait(s).unwrap_or_else(|e| e.into_inner());
                 continue;
             }
-            // Leader election: dwell for the batch, then sync once.
+            // Leader election: sync everything appended so far, once.
             s.leader = true;
-            if s.policy.max_delay_us > 0 {
-                let deadline = Instant::now() + Duration::from_micros(s.policy.max_delay_us);
-                while s.pending < s.policy.max_batch && s.synced < idx && s.error.is_none() {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (ns, _) = self
-                        .cv_batch
-                        .wait_timeout(s, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    s = ns;
-                }
-                if s.synced >= idx || s.error.is_some() {
-                    s.leader = false;
-                    drop(s);
-                    self.cv_ack.notify_all();
-                    s = self.lock();
-                    continue;
-                }
-            }
             let target = s.appended;
-            let covered = s.pending;
             let file = s.file.clone();
             drop(s);
             let res = match &file {
@@ -903,20 +824,9 @@ impl GroupSync {
             };
             s = self.lock();
             s.leader = false;
-            match res {
-                Ok(()) => {
-                    if target > s.synced {
-                        s.synced = target;
-                    }
-                    s.pending = s.pending.saturating_sub(covered);
-                }
-                Err(e) => {
-                    s.error.get_or_insert(e);
-                }
-            }
-            drop(s);
+            // The loop head reports the outcome to this waiter.
+            let _ = s.settle(target, res);
             self.cv_ack.notify_all();
-            s = self.lock();
         }
     }
 }
@@ -925,25 +835,15 @@ impl GroupSync {
 // Segments
 // ---------------------------------------------------------------------
 
-/// The single-file layout's log name, still read as segment 0.
-pub const LEGACY_WAL_FILE: &str = "wal.log";
-
 /// Rotate the active segment once it crosses this many bytes.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// The file name of WAL segment `seq` inside the durability directory.
 pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    if seq == 0 {
-        dir.join(LEGACY_WAL_FILE)
-    } else {
-        dir.join(format!("wal-{seq:020}.log"))
-    }
+    dir.join(format!("wal-{seq:020}.log"))
 }
 
 fn parse_segment_name(name: &str) -> Option<u64> {
-    if name == LEGACY_WAL_FILE {
-        return Some(0);
-    }
     let digits = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -1016,10 +916,10 @@ pub struct SealedSegment {
 }
 
 /// The multi-segment write-ahead log: an append handle over the active
-/// segment, rotation, pruning, and the shared [`GroupSync`] that
-/// acknowledges appends. All mutating calls are serialized by the
-/// owning store's commit path; only [`WalAck::wait`] and the sync
-/// leader run outside it.
+/// segment, rotation, pruning, and the shared [`GroupSync`] that owns
+/// every sync and acknowledges appends. All mutating calls are
+/// serialized by the owning store's commit path; only [`WalAck::wait`]
+/// and the sync leader run outside it.
 #[derive(Debug)]
 pub struct SegmentedWal {
     dir: PathBuf,
@@ -1056,13 +956,8 @@ impl SegmentedWal {
             writer,
             sealed,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            gc: GroupSync::new(GroupCommitPolicy::default()),
+            gc: GroupSync::new(),
         })
-    }
-
-    /// The shared sync coordinator (for acks and policy).
-    pub fn group(&self) -> &Arc<GroupSync> {
-        &self.gc
     }
 
     /// Sets the rotation threshold (clamped to at least 1 byte).
@@ -1081,10 +976,11 @@ impl SegmentedWal {
     }
 
     /// Appends one transaction's frame run (or a standalone marker) to
-    /// the active segment, rotating first when the threshold is
-    /// crossed, and returns the ack to wait on. `last_txn` is the
-    /// highest transaction sequence in `records` (the current counter
-    /// for markers).
+    /// the active segment **without syncing**, rotating first when the
+    /// threshold is crossed, and returns the ack to wait on — the only
+    /// way a run reaches the log. `last_txn` is the highest transaction
+    /// sequence in `records` (the current counter for markers). Refused
+    /// once a sync has failed.
     pub fn append_run(
         &mut self,
         records: &[WalRecord],
@@ -1100,39 +996,20 @@ impl SegmentedWal {
         Ok(self.gc.note_append(self.writer.file()))
     }
 
-    /// The single-writer variant of [`SegmentedWal::append_run`]:
-    /// appends and `sync_data`s before returning, with the historical
-    /// failure contract — on any failure the file is restored to its
-    /// pre-append length (there is no later append to protect), so the
-    /// caller may roll its in-memory state back and the log agrees.
-    pub fn append_run_synced(
-        &mut self,
-        records: &[WalRecord],
-        last_txn: u64,
-    ) -> Result<(), DurabilityError> {
-        self.gc.check()?;
-        if self.active_len >= self.segment_bytes {
-            self.rotate()?;
-        }
-        self.writer.append(records)?;
-        self.active_len = self.writer.len()?;
-        self.active_last_txn = self.active_last_txn.max(last_txn);
-        self.gc.mark_all_synced();
-        Ok(())
-    }
-
-    /// Seals the active segment — one final `sync_data`, making every
-    /// byte of it durable — and creates the next one (fsyncing the
-    /// directory so the new name survives power loss).
+    /// Seals the active segment — one final sync, making every byte of
+    /// it durable and acknowledging every outstanding append — and
+    /// creates the next one (fsyncing the directory so the new name
+    /// survives power loss). A failed seal latches the log, like any
+    /// failed sync; refused once latched.
     pub fn rotate(&mut self) -> Result<(), DurabilityError> {
-        self.writer.sync()?;
-        self.gc.mark_all_synced();
+        self.gc.sync_appended(|| self.writer.sync())?;
+        let writer = WalWriter::open(&segment_path(&self.dir, self.active_seq + 1), 0)?;
         self.sealed.push(SealedSegment {
             seq: self.active_seq,
             last_txn: self.active_last_txn,
         });
         self.active_seq += 1;
-        self.writer = WalWriter::open(&segment_path(&self.dir, self.active_seq), 0)?;
+        self.writer = writer;
         self.active_len = 0;
         Ok(())
     }
@@ -1167,13 +1044,23 @@ impl SegmentedWal {
     }
 
     /// Discards the entire log after a snapshot captured everything it
-    /// held: durably truncates the active segment ([`WalWriter::reset`])
-    /// and deletes every sealed segment, fsyncing the directory. All
-    /// outstanding appends are marked durable — the snapshot holds
-    /// them now.
+    /// held: durably truncates the active segment and deletes every
+    /// sealed segment, fsyncing the directory. All outstanding appends
+    /// are acknowledged — the snapshot holds them now.
+    ///
+    /// **Invariant: the truncation is itself durable.** `set_len(0)`
+    /// alone lives only in the page cache; after power loss the old
+    /// length — and the stale committed frames inside it — could come
+    /// back, and only the `seq > watermark` replay filter would stand
+    /// between those resurrected frames and a double-apply. The
+    /// `sync_all` that forces it to disk reports to the latch like any
+    /// other sync; a failed `ftruncate` changed nothing and does not
+    /// latch. Refused once latched.
     pub fn reset_all(&mut self) -> Result<(), DurabilityError> {
-        self.writer.reset()?;
+        self.gc.check()?;
+        self.writer.truncate()?;
         self.active_len = 0;
+        self.gc.sync_appended(|| self.writer.sync_all())?;
         let had_sealed = !self.sealed.is_empty();
         for s in std::mem::take(&mut self.sealed) {
             let path = segment_path(&self.dir, s.seq);
@@ -1182,13 +1069,26 @@ impl SegmentedWal {
         if had_sealed {
             fsync_dir(&self.dir)?;
         }
-        self.gc.mark_all_synced();
         Ok(())
     }
 
     /// Byte length of the active segment.
     pub fn active_len(&self) -> u64 {
         self.active_len
+    }
+
+    /// Swaps the active segment's file handle — test hook for forcing
+    /// sync failures (see [`WalWriter::swap_file_for_test`]).
+    #[cfg(test)]
+    pub(crate) fn swap_file_for_test(&mut self, file: Arc<File>) -> Arc<File> {
+        self.writer.swap_file_for_test(file)
+    }
+
+    /// Makes the next truncation of the active segment fail — test hook
+    /// for a snapshot reset that fails while syncs still succeed.
+    #[cfg(test)]
+    pub(crate) fn fail_next_truncate_for_test(&mut self) {
+        self.writer.fail_truncate = true;
     }
 }
 
@@ -1256,21 +1156,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("interop-wal-poison-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
+        let path = segment_path(&dir, 1);
         let mut w = WalWriter::open(&path, 0).unwrap();
-        w.append(&[WalRecord::Begin { seq: 1 }, WalRecord::Commit { seq: 1 }])
+        let good_len = w
+            .append_buffered(&[WalRecord::Begin { seq: 1 }, WalRecord::Commit { seq: 1 }])
             .unwrap();
-        let good_len = w.len().unwrap();
+        w.sync().unwrap();
         // Swap in a read-only handle: the write fails, the truncate-back
         // fails too, and the writer must poison itself rather than let a
         // later append land after a possible tear.
         let real = w.swap_file_for_test(Arc::new(File::open(&path).unwrap()));
         assert!(matches!(
-            w.append(&[WalRecord::Rollback]),
+            w.append_buffered(&[WalRecord::Rollback]),
             Err(DurabilityError::Io(_))
         ));
         drop(w.swap_file_for_test(real));
-        let err = w.append(&[WalRecord::Rollback]).unwrap_err();
+        let err = w.append_buffered(&[WalRecord::Rollback]).unwrap_err();
         assert!(
             matches!(&err, DurabilityError::Io(m) if m.contains("poisoned")),
             "writable again, but the writer stays poisoned: {err}"
@@ -1293,18 +1194,21 @@ mod tests {
         vec![WalRecord::Begin { seq }, WalRecord::Commit { seq }]
     }
 
+    /// The single writer's commit: append, then wait for the ack.
+    fn append_synced(wal: &mut SegmentedWal, seq: u64) {
+        wal.append_run(&run(seq), seq).unwrap().wait().unwrap();
+    }
+
     #[test]
     fn grouped_acks_are_covered_by_one_leader_sync() {
         let dir = scratch("group");
-        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        wal.group()
-            .set_policy(GroupCommitPolicy::grouped(3, 50_000));
+        let wal = &mut SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
         let acks: Vec<WalAck> = (1..=3)
             .map(|seq| wal.append_run(&run(seq), seq).unwrap())
             .collect();
         // Three appended, none synced yet. Waiting from several threads
-        // elects one leader; the batch is full, so it syncs immediately
-        // and every ack is covered by that one sync.
+        // elects one leader, whose one sync covers every run appended
+        // before it.
         std::thread::scope(|s| {
             for ack in &acks {
                 s.spawn(move || ack.wait().expect("covered by the group sync"));
@@ -1320,8 +1224,6 @@ mod tests {
     fn ack_epochs_survive_rotation_and_reset() {
         let dir = scratch("epochs");
         let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        wal.group()
-            .set_policy(GroupCommitPolicy::grouped(64, 10_000));
         let a1 = wal.append_run(&run(1), 1).unwrap();
         // Rotation syncs the sealed segment — the pending ack is
         // durable even though no waiter ever became leader, and the
@@ -1343,11 +1245,11 @@ mod tests {
     fn rotation_seals_prunes_and_lists_in_order() {
         let dir = scratch("rotate");
         let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        wal.append_run_synced(&run(1), 1).unwrap();
+        append_synced(&mut wal, 1);
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(2), 2).unwrap();
+        append_synced(&mut wal, 2);
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(3), 3).unwrap();
+        append_synced(&mut wal, 3);
         assert_eq!(wal.active_seq(), 3);
         let listed: Vec<u64> = list_segments(&dir)
             .unwrap()
@@ -1372,11 +1274,11 @@ mod tests {
     fn scan_segments_stops_at_gap_and_torn_segment() {
         let dir = scratch("gap");
         let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        wal.append_run_synced(&run(1), 1).unwrap();
+        append_synced(&mut wal, 1);
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(2), 2).unwrap();
+        append_synced(&mut wal, 2);
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(3), 3).unwrap();
+        append_synced(&mut wal, 3);
         // Tear the middle segment: everything after it is unreachable.
         let mid = segment_path(&dir, 2);
         let bytes = std::fs::read(&mid).unwrap();
@@ -1395,6 +1297,102 @@ mod tests {
             vec![1],
             "nothing past a missing sequence number is trusted"
         );
+    }
+
+    #[test]
+    fn failed_rotation_leaves_no_segment_gap() {
+        let dir = scratch("rotate-open");
+        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
+        wal.set_segment_bytes(1);
+        append_synced(&mut wal, 1);
+        // A directory squatting on the next segment's name makes
+        // opening it fail after the seal succeeded.
+        std::fs::create_dir(segment_path(&dir, 2)).unwrap();
+        assert!(wal.append_run(&run(2), 2).is_err());
+        std::fs::remove_dir(segment_path(&dir, 2)).unwrap();
+        append_synced(&mut wal, 2);
+        assert_eq!(
+            scan_segments(&dir)
+                .unwrap()
+                .iter()
+                .map(|s| s.seq)
+                .collect::<Vec<_>>(),
+            vec![1, 2],
+            "the retried rotation reuses the next sequence number"
+        );
+    }
+
+    /// Swaps `/dev/null` in as the active segment's handle: writes to
+    /// it succeed, and `fdatasync` and `ftruncate` fail with `EINVAL` —
+    /// a sync failure on demand. Returns the real handle.
+    #[cfg(target_os = "linux")]
+    fn fail_syncs(wal: &mut SegmentedWal) -> Arc<File> {
+        let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        wal.swap_file_for_test(Arc::new(null))
+    }
+
+    /// Puts the real handle back and checks that the log stays latched:
+    /// a sync that succeeded now could be a retried fsync falsely
+    /// reporting success, so every later append and sync is refused.
+    #[cfg(target_os = "linux")]
+    fn assert_latched(wal: &mut SegmentedWal, real: Arc<File>) {
+        drop(wal.swap_file_for_test(real));
+        for seq in [8, 9] {
+            assert!(wal.append_run(&run(seq), seq).is_err(), "append refused");
+            assert!(wal.rotate().is_err(), "seal refused");
+            assert!(wal.reset_all().is_err(), "reset refused");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_seal_latches_the_log() {
+        let dir = scratch("latch-seal");
+        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
+        let ack = wal.append_run(&run(1), 1).unwrap();
+        let real = fail_syncs(&mut wal);
+        assert!(wal.rotate().is_err(), "the seal's sync fails");
+        assert_eq!(wal.active_seq(), 1, "nothing was sealed");
+        assert_latched(&mut wal, real);
+        assert!(
+            ack.wait().is_err(),
+            "the unsealed run is never acknowledged"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_leader_sync_latches_the_log() {
+        let dir = scratch("latch-leader");
+        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
+        let durable = wal.append_run(&run(1), 1).unwrap();
+        durable.wait().unwrap();
+        let real = fail_syncs(&mut wal);
+        let ack = wal.append_run(&run(2), 2).unwrap();
+        assert!(ack.wait().is_err(), "the leader's sync fails");
+        durable
+            .wait()
+            .expect("covered before the failure: acknowledged for good");
+        assert_latched(&mut wal, real);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_truncation_does_not_latch() {
+        let dir = scratch("truncate");
+        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
+        let ack = wal.append_run(&run(1), 1).unwrap();
+        // `ftruncate` on `/dev/null` fails with EINVAL before any sync.
+        let real = fail_syncs(&mut wal);
+        assert!(wal.reset_all().is_err(), "the truncation fails");
+        drop(wal.swap_file_for_test(real));
+        // A failed truncation changes nothing, so there is no unknown
+        // page-cache state to latch on: the run is still in the file and
+        // a later sync acknowledges it.
+        ack.wait().expect("a failed truncation does not latch");
+        append_synced(&mut wal, 2);
+        wal.reset_all().unwrap();
+        assert_eq!(scan_wal(&segment_path(&dir, 1)).unwrap().file_len, 0);
     }
 
     #[test]

@@ -141,10 +141,10 @@ fn snapshots_truncate_wal_and_recover() {
     assert_eq!(dump(&s), before);
 }
 
-/// Review regression: the automatic snapshot cadence runs *after* the
-/// commit's WAL append succeeded — a snapshot failure at that point
-/// must not report the transaction as rolled back (the log durably
-/// holds it; replay would diverge from a memory rollback, and a
+/// Regression: the automatic snapshot cadence runs *after* the
+/// commit's WAL append and sync succeeded — a snapshot failure at that
+/// point must not report the transaction as rolled back (the log
+/// durably holds it; replay would diverge from a memory rollback, and a
 /// retried insert would then collide on reopen). The commit stands,
 /// the error surfaces via `take_snapshot_error`, and the next commit
 /// retries the snapshot.
@@ -183,8 +183,9 @@ fn snapshot_failure_does_not_roll_back_a_durable_commit() {
     assert_eq!(dump(&s), before, "both commits recovered");
 }
 
-/// Satellite regression: `WalWriter::reset()` used to truncate with no
-/// sync — after power loss the filesystem could legally resurrect the
+/// Regression: the snapshot reset of the log
+/// (`SegmentedWal::reset_all`) used to truncate with no sync — after
+/// power loss the filesystem could legally resurrect the
 /// pre-truncation length, replaying *stale committed frames the
 /// snapshot already holds*. The reset is now durable (`sync_all`,
 /// since a size change is metadata), and the replay-side

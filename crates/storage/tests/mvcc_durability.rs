@@ -10,9 +10,7 @@ use std::path::PathBuf;
 
 use interop_constraint::{Catalog, CmpOp, Formula};
 use interop_model::{ClassDef, Database, ObjectId, Schema, Type, Value};
-use interop_storage::wal::{
-    list_segments, scan_segments, scan_wal, segment_path, GroupCommitPolicy, WalScan,
-};
+use interop_storage::wal::{list_segments, scan_segments, scan_wal, segment_path, WalScan};
 use interop_storage::{
     check_order, replay, DurabilityMode, MvccStore, Store, TxnRecord, WalRecord,
 };
@@ -255,7 +253,7 @@ fn every_truncation_offset_recovers_a_commit_order_prefix() {
 }
 
 /// Tentpole sweep extension: **group commit + segment rotation**. A
-/// concurrent workload runs under a grouped policy with a tiny segment
+/// concurrent workload shares group syncs under a tiny segment
 /// threshold, so the log rotates several times. Every commit the store
 /// *acknowledged* (an `Ok` from `commit()`, i.e. after its covering
 /// group sync) must survive recovery of the intact log; and truncating
@@ -266,7 +264,6 @@ fn every_truncation_offset_recovers_a_commit_order_prefix() {
 fn grouped_multi_segment_sweep_recovers_acknowledged_prefix() {
     let dir = scratch("grouped");
     let store = MvccStore::new(open_durable(&dir));
-    store.set_group_commit(GroupCommitPolicy::grouped(8, 200));
     store.set_wal_segment_bytes(256);
     store.record_history(true);
 
@@ -458,9 +455,7 @@ fn pipelined_commits_recover_after_tickets_are_redeemed() {
     const THREADS: usize = 4;
     const PER_THREAD: usize = 50;
     const DEPTH: usize = 8;
-    let mut s = open_durable(&dir);
-    s.set_group_commit(GroupCommitPolicy::grouped(64, 0));
-    let store = MvccStore::new(s);
+    let store = MvccStore::new(open_durable(&dir));
 
     let mut setup = store.begin();
     let mut ids = Vec::new();
@@ -527,9 +522,7 @@ fn pipelined_commits_recover_after_tickets_are_redeemed() {
 #[test]
 fn dropped_ticket_commit_still_recovered() {
     let dir = scratch("ticket-drop");
-    let mut s = open_durable(&dir);
-    s.set_group_commit(GroupCommitPolicy::grouped(8, 0));
-    let store = MvccStore::new(s);
+    let store = MvccStore::new(open_durable(&dir));
 
     let mut setup = store.begin();
     let id = setup

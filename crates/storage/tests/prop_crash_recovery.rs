@@ -378,8 +378,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The concurrent crash sweep under **group commit and segment
-    /// rotation**: committers share fsyncs behind a grouped policy and
-    /// a tiny segment threshold forces rotation, then the *active*
+    /// rotation**: committers share group fsyncs and a tiny segment
+    /// threshold forces rotation, then the *active*
     /// segment is truncated at every byte. Recovery must land on a
     /// commit-order prefix that always contains every run in the sealed
     /// segments (sealing syncs them), and every transaction whose
@@ -388,7 +388,7 @@ proptest! {
     fn grouped_rotated_crash_sweep_recovers_commit_prefixes(
         seed in any::<u64>(),
     ) {
-        use interop_storage::wal::{scan_segments, GroupCommitPolicy};
+        use interop_storage::wal::scan_segments;
 
         let dir = scratch("grouped");
         let shared = MvccStore::new(Store::open(
@@ -397,7 +397,6 @@ proptest! {
             &dir,
             DurabilityMode::Wal,
         ).expect("open fresh"));
-        shared.set_group_commit(GroupCommitPolicy::grouped(4, 100));
         shared.set_wal_segment_bytes(200);
         shared.record_history(true);
 
