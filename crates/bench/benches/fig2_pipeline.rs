@@ -1,8 +1,11 @@
 //! Experiment F2 bench: the conformation + merging pipeline on the paper
-//! fixture and on synthetic extents of growing size.
+//! fixture and on synthetic extents of growing size, and the conflict
+//! checks on the end-to-end benchmark's two synthetic pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use interop_bench::{synthetic_fixture, SyntheticConfig};
+use interop_core::conflict::detect_conflicts;
+use interop_core::derive::{derive_global_constraints, DeriveOptions};
 use interop_core::fixtures;
 
 fn bench(c: &mut Criterion) {
@@ -83,6 +86,38 @@ fn bench(c: &mut Criterion) {
                 pipe.apply_local(&ldb, &[id]).expect("patches");
             })
         });
+    }
+
+    // §5.2.1's conflict checks alone, on the synthetic pairs the
+    // end-to-end integrations run: `wide` is object-bound (10k objects
+    // and 4 constraints per side), `deep` constraint-bound (1k objects and
+    // 32 constraints per side). Conform, merge and derivation run once,
+    // outside the timed loop.
+    for (shape, n, k) in [("wide", 10_000usize, 4usize), ("deep", 1_000, 32)] {
+        let sfx = synthetic_fixture(SyntheticConfig {
+            local_n: n,
+            remote_n: n,
+            match_ratio: 0.5,
+            constraints_per_side: k,
+            seed: 42,
+        });
+        let sconf = interop_conform::conform(
+            &sfx.local_db,
+            &sfx.local_catalog,
+            &sfx.remote_db,
+            &sfx.remote_catalog,
+            &sfx.spec,
+        )
+        .expect("conforms");
+        let view = interop_merge::merge(&sconf, &Default::default()).expect("merges");
+        let subj = interop_core::property_subjectivity(&sconf);
+        let (statuses, _) = interop_core::classify_constraints(&sconf, &subj);
+        let global = derive_global_constraints(&sconf, &subj, &statuses, DeriveOptions::default());
+        g.bench_with_input(
+            BenchmarkId::new("detect_conflicts", shape),
+            &shape,
+            |b, _| b.iter(|| detect_conflicts(&sconf, &statuses, &global, &view)),
+        );
     }
     g.finish();
 

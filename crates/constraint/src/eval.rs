@@ -13,15 +13,20 @@ use crate::constraint::{
 };
 use crate::expr::{AggOp, ArithOp, CmpOp, Expr, Formula, Path};
 
-/// Three-valued logic outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Three-valued logic outcome, ordered `False < Unknown < True`.
+///
+/// Under that order Kleene's connectives are lattice operations:
+/// conjunction is `min`, disjunction is `max`, and negation reflects the
+/// order. A `Truth` is one byte, so a column of them is a byte per row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum Truth {
-    /// Definitely true.
-    True,
     /// Definitely false.
     False,
     /// Unknown (some input was `Null`).
     Unknown,
+    /// Definitely true.
+    True,
 }
 
 impl Truth {
@@ -34,27 +39,17 @@ impl Truth {
         }
     }
 
-    /// Three-valued conjunction.
+    /// Three-valued conjunction: the lesser truth.
     pub fn and(self, other: Truth) -> Truth {
-        use Truth::*;
-        match (self, other) {
-            (False, _) | (_, False) => False,
-            (True, True) => True,
-            _ => Unknown,
-        }
+        self.min(other)
     }
 
-    /// Three-valued disjunction.
+    /// Three-valued disjunction: the greater truth.
     pub fn or(self, other: Truth) -> Truth {
-        use Truth::*;
-        match (self, other) {
-            (True, _) | (_, True) => True,
-            (False, False) => False,
-            _ => Unknown,
-        }
+        self.max(other)
     }
 
-    /// Three-valued negation.
+    /// Three-valued negation: the reflection of the order.
     #[allow(clippy::should_implement_trait)] // three-valued, not bool Not
     pub fn not(self) -> Truth {
         match self {
@@ -67,26 +62,6 @@ impl Truth {
     /// Is the constraint *not violated* (true or unknown)?
     pub fn holds(self) -> bool {
         self != Truth::False
-    }
-}
-
-/// Evaluates an expression on `obj` within `db` (paths may navigate
-/// references stored in `db`).
-pub fn eval_expr(db: &Database, obj: &Object, e: &Expr) -> Result<Value, ModelError> {
-    match e {
-        Expr::Const(v) => Ok(v.clone()),
-        Expr::Attr(p) => eval_path(db, obj, p),
-        Expr::Neg(inner) => {
-            let v = eval_expr(db, obj, inner)?;
-            Ok(match v.as_num() {
-                Some(n) => Value::Real(-n),
-                None => Value::Null,
-            })
-        }
-        Expr::Bin(a, op, b) => {
-            let (va, vb) = (eval_expr(db, obj, a)?, eval_expr(db, obj, b)?);
-            Ok(apply_arith(&va, *op, &vb))
-        }
     }
 }
 
@@ -113,6 +88,28 @@ pub fn eval_path_ref<'a>(
     db.navigate_ref(obj, &p.0).map(std::borrow::Cow::Borrowed)
 }
 
+/// Evaluates an expression given the values of its paths.
+fn eval_expr_with<E>(
+    e: &Expr,
+    path: &mut impl FnMut(&Path) -> Result<Value, E>,
+) -> Result<Value, E> {
+    match e {
+        Expr::Const(v) => Ok(v.clone()),
+        Expr::Attr(p) => path(p),
+        Expr::Neg(inner) => {
+            let v = eval_expr_with(inner, path)?;
+            Ok(match v.as_num() {
+                Some(n) => Value::Real(-n),
+                None => Value::Null,
+            })
+        }
+        Expr::Bin(a, op, b) => {
+            let (va, vb) = (eval_expr_with(a, path)?, eval_expr_with(b, path)?);
+            Ok(apply_arith(&va, *op, &vb))
+        }
+    }
+}
+
 fn apply_arith(a: &Value, op: ArithOp, b: &Value) -> Value {
     match (a.as_num(), b.as_num()) {
         (Some(x), Some(y)) => {
@@ -135,11 +132,32 @@ fn apply_arith(a: &Value, op: ArithOp, b: &Value) -> Value {
 
 /// Evaluates a formula on `obj` within `db`.
 pub fn eval_formula(db: &Database, obj: &Object, f: &Formula) -> Result<Truth, ModelError> {
+    eval_formula_with(f, &mut |p| eval_path(db, obj, p))
+}
+
+/// Evaluates a formula given the values of its paths. This holds the
+/// value-level rules every evaluator shares; each evaluator passes its
+/// own path navigation as `path` ([`eval_path`] for [`eval_formula`],
+/// the integrated view's for `interop_merge`'s). The rules:
+///
+/// * `Cmp`: a `Null` side gives `Unknown`; incomparable values make only
+///   `<>` true;
+/// * `In` tests membership with [`Value::sem_eq`], so `Int(3)` is in
+///   `{3.0}`;
+/// * `Contains` on a `Null` gives `Unknown`, on a non-string `False`;
+/// * arithmetic goes through [`Value::as_num`]: a non-numeric operand, or
+///   a division by zero, gives `Null`.
+///
+/// `And` and `Or` stop at the first child that decides them.
+pub fn eval_formula_with<E>(
+    f: &Formula,
+    path: &mut impl FnMut(&Path) -> Result<Value, E>,
+) -> Result<Truth, E> {
     match f {
         Formula::True => Ok(Truth::True),
         Formula::False => Ok(Truth::False),
         Formula::Cmp(a, op, b) => {
-            let (va, vb) = (eval_expr(db, obj, a)?, eval_expr(db, obj, b)?);
+            let (va, vb) = (eval_expr_with(a, path)?, eval_expr_with(b, path)?);
             if va.is_null() || vb.is_null() {
                 return Ok(Truth::Unknown);
             }
@@ -149,25 +167,25 @@ pub fn eval_formula(db: &Database, obj: &Object, f: &Formula) -> Result<Truth, M
             }
         }
         Formula::In(e, set) => {
-            let v = eval_expr(db, obj, e)?;
+            let v = eval_expr_with(e, path)?;
             if v.is_null() {
                 return Ok(Truth::Unknown);
             }
             Ok(Truth::from_bool(set.iter().any(|s| s.sem_eq(&v))))
         }
         Formula::Contains(e, needle) => {
-            let v = eval_expr(db, obj, e)?;
+            let v = eval_expr_with(e, path)?;
             match v {
                 Value::Null => Ok(Truth::Unknown),
                 Value::Str(s) => Ok(Truth::from_bool(s.contains(needle.as_str()))),
                 _ => Ok(Truth::False),
             }
         }
-        Formula::Not(inner) => Ok(eval_formula(db, obj, inner)?.not()),
+        Formula::Not(inner) => Ok(eval_formula_with(inner, path)?.not()),
         Formula::And(fs) => {
             let mut acc = Truth::True;
             for g in fs {
-                acc = acc.and(eval_formula(db, obj, g)?);
+                acc = acc.and(eval_formula_with(g, path)?);
                 if acc == Truth::False {
                     break;
                 }
@@ -177,7 +195,7 @@ pub fn eval_formula(db: &Database, obj: &Object, f: &Formula) -> Result<Truth, M
         Formula::Or(fs) => {
             let mut acc = Truth::False;
             for g in fs {
-                acc = acc.or(eval_formula(db, obj, g)?);
+                acc = acc.or(eval_formula_with(g, path)?);
                 if acc == Truth::True {
                     break;
                 }
@@ -185,8 +203,8 @@ pub fn eval_formula(db: &Database, obj: &Object, f: &Formula) -> Result<Truth, M
             Ok(acc)
         }
         Formula::Implies(a, b) => {
-            let ta = eval_formula(db, obj, a)?;
-            Ok(ta.not().or(eval_formula(db, obj, b)?))
+            let ta = eval_formula_with(a, path)?;
+            Ok(ta.not().or(eval_formula_with(b, path)?))
         }
     }
 }
@@ -364,6 +382,55 @@ mod tests {
         assert_eq!(Unknown.not(), Unknown);
         assert!(Unknown.holds());
         assert!(!False.holds());
+    }
+
+    #[test]
+    fn ordered_truth_is_kleene_logic() {
+        use Truth::*;
+        // Kleene's strong three-valued tables, rows and columns in the
+        // order False, Unknown, True.
+        let all = [False, Unknown, True];
+        let and = [
+            [False, False, False],
+            [False, Unknown, Unknown],
+            [False, Unknown, True],
+        ];
+        let or = [
+            [False, Unknown, True],
+            [Unknown, Unknown, True],
+            [True, True, True],
+        ];
+        let not = [True, Unknown, False];
+        // A formula of each truth: `Unknown` is a comparison on a null.
+        let literal = |t: Truth| match t {
+            False => Formula::False,
+            Unknown => Formula::cmp("absent", CmpOp::Eq, 1i64),
+            True => Formula::True,
+        };
+        let eval = |f: &Formula| {
+            let Ok(t) =
+                eval_formula_with(f, &mut |_| Ok::<_, std::convert::Infallible>(Value::Null));
+            t
+        };
+        for (i, &a) in all.iter().enumerate() {
+            assert_eq!(a.not(), not[i]);
+            assert_eq!(a.not(), all[2 - i], "negation reflects the order");
+            for (j, &b) in all.iter().enumerate() {
+                assert_eq!(a.min(b), and[i][j], "{a:?} and {b:?}");
+                assert_eq!(a.and(b), and[i][j]);
+                assert_eq!(a.max(b), or[i][j], "{a:?} or {b:?}");
+                assert_eq!(a.or(b), or[i][j]);
+                let (fa, fb) = (literal(a), literal(b));
+                assert_eq!(eval(&Formula::And(vec![fa.clone(), fb.clone()])), and[i][j]);
+                assert_eq!(eval(&Formula::Or(vec![fa.clone(), fb.clone()])), or[i][j]);
+                assert_eq!(
+                    eval(&fa.clone().implies(fb.clone())),
+                    eval(&Formula::Or(vec![Formula::Not(Box::new(fa)), fb])),
+                    "{a:?} implies {b:?}"
+                );
+                assert_eq!(eval(&literal(a).implies(literal(b))), a.not().or(b));
+            }
+        }
     }
 
     #[test]

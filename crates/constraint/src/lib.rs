@@ -77,6 +77,6 @@ pub use constraint::{
     PairAtom, Quantifier, Status,
 };
 pub use domain::{Bnd, DiscSet, Domain, Iv, NumSet};
-pub use eval::{eval_expr, eval_formula, Truth};
+pub use eval::{eval_formula, Truth};
 pub use expr::{AggOp, ArithOp, CmpOp, Expr, Formula, Path};
 pub use solve::{GuardedAtom, TypeEnv};

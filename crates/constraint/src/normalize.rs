@@ -8,6 +8,9 @@
 //! constant-folding simplifier — the preprocessing steps the solver and
 //! the derivation engine rely on.
 
+use std::hash::{Hash, Hasher};
+
+use interop_model::fx::{FxHashSet, FxHasher};
 use interop_model::Value;
 
 use crate::expr::{Expr, Formula};
@@ -145,43 +148,35 @@ pub fn simplify(f: &Formula) -> Formula {
             g => Formula::Not(Box::new(g)),
         },
         Formula::And(fs) => {
-            let mut out = Vec::new();
+            let mut out = Children::default();
             for g in fs {
                 match simplify(g) {
                     Formula::True => {}
                     Formula::False => return Formula::False,
-                    Formula::And(inner) => out.extend(inner),
-                    g => {
-                        if !out.contains(&g) {
-                            out.push(g);
-                        }
-                    }
+                    Formula::And(inner) => out.extend_unchecked(inner),
+                    g => out.push_new(g),
                 }
             }
-            match out.len() {
+            match out.items.len() {
                 0 => Formula::True,
-                1 => out.pop().expect("len checked"),
-                _ => Formula::And(out),
+                1 => out.items.pop().expect("len checked"),
+                _ => Formula::And(out.items),
             }
         }
         Formula::Or(fs) => {
-            let mut out = Vec::new();
+            let mut out = Children::default();
             for g in fs {
                 match simplify(g) {
                     Formula::False => {}
                     Formula::True => return Formula::True,
-                    Formula::Or(inner) => out.extend(inner),
-                    g => {
-                        if !out.contains(&g) {
-                            out.push(g);
-                        }
-                    }
+                    Formula::Or(inner) => out.extend_unchecked(inner),
+                    g => out.push_new(g),
                 }
             }
-            match out.len() {
+            match out.items.len() {
                 0 => Formula::False,
-                1 => out.pop().expect("len checked"),
-                _ => Formula::Or(out),
+                1 => out.items.pop().expect("len checked"),
+                _ => Formula::Or(out.items),
             }
         }
         Formula::Implies(a, b) => match (simplify(a), simplify(b)) {
@@ -192,6 +187,38 @@ pub fn simplify(f: &Formula) -> Formula {
             (a, b) => Formula::Implies(Box::new(a), Box::new(b)),
         },
     }
+}
+
+/// The children of a simplified `And` or `Or`. A child already present
+/// is dropped; the linear search for it runs only when the child's hash
+/// is already in `hashes`, so a long conjunction simplifies in expected
+/// linear time. The members of a nested `And`/`Or` are flattened in
+/// unchecked, but are hashed so later children are checked against them.
+#[derive(Default)]
+struct Children {
+    items: Vec<Formula>,
+    hashes: FxHashSet<u64>,
+}
+
+impl Children {
+    fn push_new(&mut self, g: Formula) {
+        if self.hashes.insert(fx_hash(&g)) || !self.items.contains(&g) {
+            self.items.push(g);
+        }
+    }
+
+    fn extend_unchecked(&mut self, gs: Vec<Formula>) {
+        for g in gs {
+            self.hashes.insert(fx_hash(&g));
+            self.items.push(g);
+        }
+    }
+}
+
+fn fx_hash(f: &Formula) -> u64 {
+    let mut h = FxHasher::default();
+    f.hash(&mut h);
+    h.finish()
 }
 
 /// Folds constant arithmetic inside an expression.

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use interop_constraint::normalize::{nnf, simplify, split_conjuncts};
+use interop_constraint::normalize::{fold_expr, nnf, simplify, split_conjuncts};
 use interop_constraint::solve::{implies, is_satisfiable, project, TypeEnv};
 use interop_constraint::{CmpOp, Expr, Formula, Path};
 use interop_model::{Type, Value};
@@ -83,6 +83,146 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
         prop_oneof![
             prop::collection::vec(inner.clone(), 1..3).prop_map(Formula::And),
             prop::collection::vec(inner.clone(), 1..3).prop_map(Formula::Or),
+            inner.clone().prop_map(|f| Formula::Not(Box::new(f))),
+            (inner.clone(), inner).prop_map(|(a, b)| a.implies(b)),
+        ]
+    })
+}
+
+/// `simplify` as it was with a linear duplicate check per `And`/`Or`
+/// child: the reference the hash-guarded version must reproduce exactly.
+fn linear_simplify(f: &Formula) -> Formula {
+    match f {
+        Formula::True | Formula::False => f.clone(),
+        Formula::Cmp(a, op, b) => {
+            let (a, b) = (fold_expr(a), fold_expr(b));
+            if let (Some(va), Some(vb)) = (a.as_const(), b.as_const()) {
+                if !va.is_null() && !vb.is_null() {
+                    if let Some(ord) = va.compare(vb) {
+                        return if op.test(ord) {
+                            Formula::True
+                        } else {
+                            Formula::False
+                        };
+                    }
+                }
+            }
+            Formula::Cmp(a, *op, b)
+        }
+        Formula::In(e, set) => {
+            let e = fold_expr(e);
+            if set.is_empty() {
+                return Formula::False;
+            }
+            if let Some(v) = e.as_const() {
+                if !v.is_null() {
+                    return if set.iter().any(|s| s.sem_eq(v)) {
+                        Formula::True
+                    } else {
+                        Formula::False
+                    };
+                }
+            }
+            Formula::In(e, set.clone())
+        }
+        Formula::Contains(e, s) => {
+            let e = fold_expr(e);
+            if let Some(Value::Str(hay)) = e.as_const() {
+                return if hay.contains(s.as_str()) {
+                    Formula::True
+                } else {
+                    Formula::False
+                };
+            }
+            Formula::Contains(e, s.clone())
+        }
+        Formula::Not(inner) => match linear_simplify(inner) {
+            Formula::True => Formula::False,
+            Formula::False => Formula::True,
+            Formula::Not(g) => *g,
+            g => Formula::Not(Box::new(g)),
+        },
+        Formula::And(fs) => {
+            let mut out = Vec::new();
+            for g in fs {
+                match linear_simplify(g) {
+                    Formula::True => {}
+                    Formula::False => return Formula::False,
+                    Formula::And(inner) => out.extend(inner),
+                    g => {
+                        if !out.contains(&g) {
+                            out.push(g);
+                        }
+                    }
+                }
+            }
+            match out.len() {
+                0 => Formula::True,
+                1 => out.pop().unwrap(),
+                _ => Formula::And(out),
+            }
+        }
+        Formula::Or(fs) => {
+            let mut out = Vec::new();
+            for g in fs {
+                match linear_simplify(g) {
+                    Formula::False => {}
+                    Formula::True => return Formula::True,
+                    Formula::Or(inner) => out.extend(inner),
+                    g => {
+                        if !out.contains(&g) {
+                            out.push(g);
+                        }
+                    }
+                }
+            }
+            match out.len() {
+                0 => Formula::False,
+                1 => out.pop().unwrap(),
+                _ => Formula::Or(out),
+            }
+        }
+        Formula::Implies(a, b) => match (linear_simplify(a), linear_simplify(b)) {
+            (Formula::True, b) => b,
+            (Formula::False, _) => Formula::True,
+            (_, Formula::True) => Formula::True,
+            (a, Formula::False) => linear_simplify(&Formula::Not(Box::new(a))),
+            (a, b) => Formula::Implies(Box::new(a), Box::new(b)),
+        },
+    }
+}
+
+/// Formulas over a pool of four atoms plus the constants, whose `And`
+/// and `Or` nodes repeat a child: either one of their own children, or
+/// a member of a child that is itself an `And`/`Or` and may flatten into
+/// them. Constant folding makes further repeats.
+fn arb_repetitive_formula() -> impl Strategy<Value = Formula> {
+    let atom = prop::sample::select(vec![
+        Formula::cmp("x", CmpOp::Ge, 1i64),
+        Formula::cmp("x", CmpOp::Ge, 1.0),
+        Formula::cmp("y", CmpOp::Lt, 3i64),
+        Formula::isin("x", [Value::Int(1), Value::real(2.0)]),
+        Formula::Cmp(Expr::val(1i64), CmpOp::Lt, Expr::val(2i64)),
+        Formula::True,
+        Formula::False,
+    ]);
+    atom.prop_recursive(3, 48, 6, |inner| {
+        let children = (prop::collection::vec(inner.clone(), 0..6), any::<usize>())
+            .prop_map(|(mut cs, k)| {
+                if let Some(c) = cs.get(k % cs.len().max(1)).cloned() {
+                    cs.push(match c {
+                        Formula::And(gs) | Formula::Or(gs) if !gs.is_empty() => {
+                            gs[k % gs.len()].clone()
+                        }
+                        c => c,
+                    });
+                }
+                cs
+            })
+            .boxed();
+        prop_oneof![
+            children.clone().prop_map(Formula::And),
+            children.prop_map(Formula::Or),
             inner.clone().prop_map(|f| Formula::Not(Box::new(f))),
             (inner.clone(), inner).prop_map(|(a, b)| a.implies(b)),
         ]
@@ -170,5 +310,12 @@ proptest! {
         if has_model {
             prop_assert!(is_satisfiable(&f, &e), "witnessed formula reported unsat: {}", f);
         }
+    }
+
+    /// The hash-guarded duplicate check drops exactly the children the
+    /// linear one did, in the same order.
+    #[test]
+    fn simplify_matches_linear_duplicate_check(f in arb_repetitive_formula()) {
+        prop_assert_eq!(simplify(&f), linear_simplify(&f), "simplify diverged on {}", f);
     }
 }

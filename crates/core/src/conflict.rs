@@ -1,17 +1,20 @@
 //! Conflict detection (§5.2.1): explicit, implicit, admission, and
 //! instance-level conflicts on the integrated view.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use interop_conform::Conformed;
+use interop_constraint::eval::Truth;
 use interop_constraint::solve::{conjunction_unsat, implies, TypeEnv};
 use interop_constraint::{ConstraintId, Formula, Path, Status};
-use interop_merge::IntegratedView;
+use interop_merge::{GlobalObject, IntegratedView};
+use interop_model::fx::FxHashMap;
 use interop_model::{ClassName, ObjectId};
 use interop_spec::{DfKind, RuleId, Side};
 
-use crate::derive::{GlobalConstraints, Scope};
+use crate::derive::{DerivedConstraint, GlobalConstraints, Scope};
 
 /// The kinds of conflicts the paper distinguishes.
 #[derive(Clone, Debug, PartialEq)]
@@ -248,54 +251,199 @@ fn implicit_conflicts(
     }
 }
 
+/// §5.2.1's instance check, column at a time. Each derived constraint
+/// compiles once to a [`Skeleton`] over one table of interned atoms. Each
+/// distinct scope lists its members once, and evaluates each atom its
+/// constraints use once per member, into a column of [`Truth`]. A
+/// constraint's verdict then combines its atoms' columns with Kleene
+/// `min`/`max`. Violations come out constraint-major in `global.object`
+/// order, each constraint's members in extension order.
 fn instance_violations(out: &mut Vec<Conflict>, global: &GlobalConstraints, view: &IntegratedView) {
-    for d in &global.object {
-        let check = |obj: &interop_merge::GlobalObject, out: &mut Vec<Conflict>| {
-            if view.eval(obj, &d.formula) == interop_constraint::eval::Truth::False {
-                out.push(Conflict {
-                    detail: format!(
-                        "instance violation: global object {} violates derived constraint {} \
-                         ({})",
-                        obj.id, d.id, d.formula
-                    ),
-                    kind: ConflictKind::InstanceViolation {
-                        object: obj.id,
-                        constraint: d.to_string(),
-                    },
-                });
-            }
-        };
-        match &d.scope {
-            Scope::All(c) => {
-                for obj in view.extension(c) {
-                    check(obj, out);
+    let mut atoms = Atoms::default();
+    let skeletons: Vec<Skeleton> = global
+        .object
+        .iter()
+        .map(|d| atoms.compile(&d.formula))
+        .collect();
+    let mut by_scope: BTreeMap<&Scope, Vec<usize>> = BTreeMap::new();
+    for (i, d) in global.object.iter().enumerate() {
+        by_scope.entry(&d.scope).or_default().push(i);
+    }
+    let mut violations: Vec<(usize, ObjectId)> = Vec::new();
+    for (scope, constraints) in by_scope {
+        let members = scope_members(view, scope);
+        if members.is_empty() {
+            continue;
+        }
+        // Columns live for one scope; an empty column is an atom no
+        // constraint of the scope uses.
+        let mut columns: Vec<Vec<Truth>> = vec![Vec::new(); atoms.table.len()];
+        for &i in &constraints {
+            skeletons[i].for_each_atom(&mut |a| {
+                if columns[a].is_empty() {
+                    columns[a] = members
+                        .iter()
+                        .map(|o| view.eval(o, atoms.table[a]))
+                        .collect();
                 }
+            });
+        }
+        let mut verdict = vec![Truth::Unknown; members.len()];
+        for &i in &constraints {
+            skeletons[i].fill(&columns, &mut verdict);
+            violations.extend(
+                verdict
+                    .iter()
+                    .zip(&members)
+                    .filter(|(t, _)| **t == Truth::False)
+                    .map(|(_, o)| (i, o.id)),
+            );
+        }
+    }
+    // Stable: each constraint's members stay in extension order.
+    violations.sort_by_key(|&(i, _)| i);
+    out.extend(
+        violations
+            .into_iter()
+            .map(|(i, object)| instance_conflict(&global.object[i], object)),
+    );
+}
+
+fn instance_conflict(d: &DerivedConstraint, object: ObjectId) -> Conflict {
+    Conflict {
+        detail: format!(
+            "instance violation: global object {object} violates derived constraint {} ({})",
+            d.id, d.formula
+        ),
+        kind: ConflictKind::InstanceViolation {
+            object,
+            constraint: d.to_string(),
+        },
+    }
+}
+
+/// The members of `scope`, in extension order: `Merged(l, r)` takes the
+/// objects of `l` with both sides that are also in `r`; `LocalOnly` and
+/// `RemoteOnly` take the objects without a remote or a local side.
+fn scope_members<'v>(view: &'v IntegratedView, scope: &Scope) -> Vec<&'v GlobalObject> {
+    let mut members = view.extension(match scope {
+        Scope::All(c) | Scope::LocalOnly(c) | Scope::RemoteOnly(c) | Scope::Merged(c, _) => c,
+    });
+    match scope {
+        Scope::All(_) => {}
+        Scope::Merged(_, rc) => {
+            let remote_ext = view.hierarchy.extension(rc);
+            members
+                .retain(|o| o.local.is_some() && o.remote.is_some() && remote_ext.contains(&o.id));
+        }
+        Scope::LocalOnly(_) => members.retain(|o| o.remote.is_none()),
+        Scope::RemoteOnly(_) => members.retain(|o| o.local.is_none()),
+    }
+    members
+}
+
+/// The distinct atoms (`Cmp`, `In`, `Contains` leaves) of a constraint
+/// set, interned structurally: equal atoms share one index.
+#[derive(Default)]
+struct Atoms<'f> {
+    table: Vec<&'f Formula>,
+    index: FxHashMap<&'f Formula, usize>,
+}
+
+impl<'f> Atoms<'f> {
+    fn compile(&mut self, f: &'f Formula) -> Skeleton {
+        match f {
+            Formula::True => Skeleton::Const(Truth::True),
+            Formula::False => Skeleton::Const(Truth::False),
+            Formula::Not(g) => Skeleton::Not(Box::new(self.compile(g))),
+            Formula::And(gs) => Skeleton::And(gs.iter().map(|g| self.compile(g)).collect()),
+            Formula::Or(gs) => Skeleton::Or(gs.iter().map(|g| self.compile(g)).collect()),
+            Formula::Implies(a, b) => {
+                Skeleton::Implies(Box::new(self.compile(a)), Box::new(self.compile(b)))
             }
-            Scope::Merged(lc, rc) => {
-                for obj in view.extension(lc) {
-                    if obj.local.is_some()
-                        && obj.remote.is_some()
-                        && view.hierarchy.extension(rc).contains(&obj.id)
-                    {
-                        check(obj, out);
-                    }
+            Formula::Cmp(..) | Formula::In(..) | Formula::Contains(..) => {
+                let next = self.table.len();
+                let id = *self.index.entry(f).or_insert(next);
+                if id == next {
+                    self.table.push(f);
                 }
-            }
-            Scope::LocalOnly(c) => {
-                for obj in view.extension(c) {
-                    if obj.remote.is_none() {
-                        check(obj, out);
-                    }
-                }
-            }
-            Scope::RemoteOnly(c) => {
-                for obj in view.extension(c) {
-                    if obj.local.is_none() {
-                        check(obj, out);
-                    }
-                }
+                Skeleton::Atom(id)
             }
         }
+    }
+}
+
+/// A derived constraint's connectives over indices into [`Atoms`].
+enum Skeleton {
+    Const(Truth),
+    Atom(usize),
+    Not(Box<Skeleton>),
+    And(Vec<Skeleton>),
+    Or(Vec<Skeleton>),
+    Implies(Box<Skeleton>, Box<Skeleton>),
+}
+
+impl Skeleton {
+    fn for_each_atom(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Skeleton::Const(_) => {}
+            Skeleton::Atom(a) => f(*a),
+            Skeleton::Not(g) => g.for_each_atom(f),
+            Skeleton::And(gs) | Skeleton::Or(gs) => gs.iter().for_each(|g| g.for_each_atom(f)),
+            Skeleton::Implies(a, b) => {
+                a.for_each_atom(f);
+                b.for_each_atom(f);
+            }
+        }
+    }
+
+    /// Writes the skeleton's truth per member into `out`, from the atom
+    /// columns: `Not` reflects, `And` is `min`, `Or` is `max`, and
+    /// `a implies b` is `max(reflect(a), b)`.
+    fn fill(&self, columns: &[Vec<Truth>], out: &mut [Truth]) {
+        match self {
+            Skeleton::Const(t) => out.fill(*t),
+            Skeleton::Atom(a) => out.copy_from_slice(&columns[*a]),
+            Skeleton::Not(g) => {
+                g.fill(columns, out);
+                out.iter_mut().for_each(|t| *t = t.not());
+            }
+            Skeleton::And(gs) => {
+                out.fill(Truth::True);
+                gs.iter()
+                    .for_each(|g| g.fold_into(columns, out, Truth::and));
+            }
+            Skeleton::Or(gs) => {
+                out.fill(Truth::False);
+                gs.iter().for_each(|g| g.fold_into(columns, out, Truth::or));
+            }
+            Skeleton::Implies(a, b) => {
+                a.fill(columns, out);
+                out.iter_mut().for_each(|t| *t = t.not());
+                b.fold_into(columns, out, Truth::or);
+            }
+        }
+    }
+
+    /// Combines the skeleton's column into `acc` elementwise with `op`.
+    /// An atom's column is read in place; any other is computed first.
+    fn fold_into(
+        &self,
+        columns: &[Vec<Truth>],
+        acc: &mut [Truth],
+        op: impl Fn(Truth, Truth) -> Truth,
+    ) {
+        let column = match self {
+            Skeleton::Atom(a) => Cow::Borrowed(&columns[*a][..]),
+            _ => {
+                let mut c = vec![Truth::Unknown; acc.len()];
+                self.fill(columns, &mut c);
+                Cow::Owned(c)
+            }
+        };
+        acc.iter_mut()
+            .zip(column.iter())
+            .for_each(|(x, &y)| *x = op(*x, y));
     }
 }
 
@@ -306,6 +454,7 @@ mod tests {
     use crate::fixtures;
     use crate::subjectivity::{classify_constraints, property_subjectivity};
     use interop_merge::merge;
+    use interop_model::Value;
 
     fn run(fx: &fixtures::Fixture) -> (Conformed, GlobalConstraints, Vec<Conflict>) {
         let conf = interop_conform::conform(
@@ -451,5 +600,406 @@ mod tests {
         assert!(conflicts.iter().any(
             |c| matches!(&c.kind, ConflictKind::Admission { rule, .. } if rule.as_str() == "r3")
         ));
+    }
+
+    /// A global object for a hand-built view: its sides and attributes.
+    fn global_object(
+        serial: u64,
+        local: bool,
+        remote: bool,
+        attrs: Vec<(&str, Value)>,
+    ) -> interop_merge::GlobalObject {
+        interop_merge::GlobalObject {
+            id: ObjectId::new(9, serial),
+            attrs: attrs
+                .into_iter()
+                .map(|(a, v)| (interop_model::AttrName::new(a), v))
+                .collect(),
+            local: local.then(|| ObjectId::new(1, serial)),
+            remote: remote.then(|| ObjectId::new(2, serial)),
+            fused: BTreeMap::new(),
+            classes: Vec::new(),
+        }
+    }
+
+    /// A view over `objects` whose class extensions are `extensions`.
+    fn hand_view(
+        objects: Vec<interop_merge::GlobalObject>,
+        extensions: Vec<(&str, Vec<u64>)>,
+    ) -> IntegratedView {
+        let mut hierarchy = interop_merge::Hierarchy::default();
+        for (class, serials) in extensions {
+            hierarchy.extensions.insert(
+                ClassName::new(class),
+                serials.into_iter().map(|s| ObjectId::new(9, s)).collect(),
+            );
+        }
+        IntegratedView {
+            objects: objects.into_iter().map(|o| (o.id, o)).collect(),
+            id_map: BTreeMap::new(),
+            hierarchy,
+            notes: Vec::new(),
+        }
+    }
+
+    fn derived(id: &str, scope: Scope, formula: Formula) -> crate::derive::DerivedConstraint {
+        crate::derive::DerivedConstraint {
+            id: ConstraintId::derived(id),
+            scope,
+            formula,
+            sources: vec![],
+            origin: crate::derive::DerivationOrigin::ObjectivePassThrough,
+        }
+    }
+
+    #[test]
+    fn instance_violations_report_constraint_major_in_extension_order() {
+        use interop_constraint::CmpOp;
+        let (l, r) = (ClassName::new("L"), ClassName::new("R"));
+        // 9:4 is merged but outside R's extension, so `Merged(L, R)`
+        // skips it; 9:6 is remote-only yet in L's extension, so
+        // `LocalOnly(L)` skips it.
+        let view = hand_view(
+            vec![
+                global_object(
+                    1,
+                    true,
+                    true,
+                    vec![("x", 5i64.into()), ("y", (-1i64).into())],
+                ),
+                global_object(2, true, false, vec![("x", 7i64.into()), ("y", 2i64.into())]),
+                global_object(
+                    3,
+                    false,
+                    true,
+                    vec![("x", 1i64.into()), ("y", (-3i64).into())],
+                ),
+                global_object(
+                    4,
+                    true,
+                    true,
+                    vec![("x", 9i64.into()), ("y", (-1i64).into())],
+                ),
+                global_object(
+                    5,
+                    true,
+                    true,
+                    vec![("x", 1i64.into()), ("y", (-2i64).into())],
+                ),
+                global_object(6, false, true, vec![("x", 8i64.into())]),
+            ],
+            vec![("L", vec![1, 2, 4, 5, 6]), ("R", vec![1, 3, 5, 6])],
+        );
+        let global = GlobalConstraints {
+            object: vec![
+                derived(
+                    "m1",
+                    Scope::Merged(l.clone(), r.clone()),
+                    Formula::cmp("x", CmpOp::Le, 3i64),
+                ),
+                derived(
+                    "a1",
+                    Scope::All(l.clone()),
+                    Formula::cmp("y", CmpOp::Ge, 0i64),
+                ),
+                derived(
+                    "lo1",
+                    Scope::LocalOnly(l.clone()),
+                    Formula::cmp("x", CmpOp::Lt, 5i64),
+                ),
+                derived(
+                    "ro1",
+                    Scope::RemoteOnly(r.clone()),
+                    Formula::cmp("x", CmpOp::Ge, 2i64),
+                ),
+                derived(
+                    "m2",
+                    Scope::Merged(l, r.clone()),
+                    Formula::cmp("y", CmpOp::Ge, -1i64).or(Formula::cmp("x", CmpOp::Gt, 4i64)),
+                ),
+                derived(
+                    "a2",
+                    Scope::All(r),
+                    Formula::Not(Box::new(Formula::cmp("x", CmpOp::Eq, 8i64))),
+                ),
+            ],
+            ..Default::default()
+        };
+        let mut out = Vec::new();
+        instance_violations(&mut out, &global, &view);
+        let pairs: Vec<(String, String)> = out
+            .iter()
+            .map(|c| match &c.kind {
+                ConflictKind::InstanceViolation { object, constraint } => {
+                    (object.to_string(), constraint.clone())
+                }
+                other => panic!("not an instance violation: {other:?}"),
+            })
+            .collect();
+        let ids: Vec<(&str, &str)> = pairs
+            .iter()
+            .map(|(o, c)| (o.as_str(), &c[1..c.find(']').expect("bracketed id")]))
+            .collect();
+        assert_eq!(
+            ids,
+            vec![
+                ("9:1", "m1"),
+                ("9:1", "a1"),
+                ("9:4", "a1"),
+                ("9:5", "a1"),
+                ("9:2", "lo1"),
+                ("9:3", "ro1"),
+                ("9:5", "m2"),
+                ("9:6", "a2"),
+            ]
+        );
+        assert_eq!(
+            out[6].detail,
+            "instance violation: global object 9:5 violates derived constraint m2 \
+             (y >= -1 or x > 4)"
+        );
+        assert_eq!(
+            pairs[6].1,
+            "[m2] (objective pass-through) merged L=R: y >= -1 or x > 4"
+        );
+    }
+
+    /// The per-constraint loop the columnar kernel replaced, kept as its
+    /// oracle: each constraint walks its scope's extension and evaluates
+    /// its whole formula on every member.
+    fn naive_instance_violations(
+        global: &GlobalConstraints,
+        view: &IntegratedView,
+    ) -> Vec<Conflict> {
+        let mut out = Vec::new();
+        for d in &global.object {
+            let check = |obj: &GlobalObject, out: &mut Vec<Conflict>| {
+                if view.eval(obj, &d.formula) == Truth::False {
+                    out.push(instance_conflict(d, obj.id));
+                }
+            };
+            match &d.scope {
+                Scope::All(c) => {
+                    for obj in view.extension(c) {
+                        check(obj, &mut out);
+                    }
+                }
+                Scope::Merged(lc, rc) => {
+                    for obj in view.extension(lc) {
+                        if obj.local.is_some()
+                            && obj.remote.is_some()
+                            && view.hierarchy.extension(rc).contains(&obj.id)
+                        {
+                            check(obj, &mut out);
+                        }
+                    }
+                }
+                Scope::LocalOnly(c) => {
+                    for obj in view.extension(c) {
+                        if obj.remote.is_none() {
+                            check(obj, &mut out);
+                        }
+                    }
+                }
+                Scope::RemoteOnly(c) => {
+                    for obj in view.extension(c) {
+                        if obj.local.is_none() {
+                            check(obj, &mut out);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    mod differential {
+        use super::*;
+        use interop_constraint::{ArithOp, CmpOp, Expr};
+        use proptest::prelude::*;
+
+        /// Attribute values: numbers of both kinds, strings, booleans,
+        /// nulls, sets, and references to objects that may not exist.
+        fn arb_value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                (-2i64..3).prop_map(Value::Int),
+                prop::sample::select(vec![-1.5, 0.0, 1.0, 2.5]).prop_map(Value::real),
+                prop::sample::select(vec!["ab", "b", ""]).prop_map(Value::str),
+                any::<bool>().prop_map(Value::Bool),
+                Just(Value::Null),
+                Just(Value::str_set(["ab"])),
+                (0u64..10).prop_map(|s| Value::Ref(ObjectId::new(9, s))),
+            ]
+        }
+
+        /// `None` leaves the attribute absent.
+        fn arb_slot() -> impl Strategy<Value = Option<Value>> {
+            prop_oneof![Just(None), arb_value().prop_map(Some)]
+        }
+
+        /// An object's sides, its `a`, `b` and reference `r` attributes,
+        /// and whether it is in the extensions of `C` and `D`.
+        type ObjectSpec = (
+            (bool, bool),
+            Option<Value>,
+            Option<Value>,
+            Option<Value>,
+            bool,
+            bool,
+        );
+
+        fn arb_object() -> impl Strategy<Value = ObjectSpec> {
+            (
+                prop::sample::select(vec![(true, false), (false, true), (true, true)]),
+                arb_slot(),
+                arb_slot(),
+                prop_oneof![
+                    (0u64..10).prop_map(|s| Some(Value::Ref(ObjectId::new(9, s)))),
+                    arb_slot(),
+                ],
+                any::<bool>(),
+                any::<bool>(),
+            )
+        }
+
+        fn build_view(specs: &[ObjectSpec]) -> IntegratedView {
+            let mut objects = Vec::new();
+            let (mut c, mut d) = (Vec::new(), Vec::new());
+            for (serial, ((local, remote), a, b, r, in_c, in_d)) in specs.iter().enumerate() {
+                let serial = serial as u64;
+                let attrs = [("a", a), ("b", b), ("r", r)]
+                    .into_iter()
+                    .filter_map(|(name, v)| v.clone().map(|v| (name, v)))
+                    .collect();
+                objects.push(global_object(serial, *local, *remote, attrs));
+                if *in_c {
+                    c.push(serial);
+                }
+                if *in_d {
+                    d.push(serial);
+                }
+            }
+            // `E` has no extension at all.
+            hand_view(objects, vec![("C", c), ("D", d)])
+        }
+
+        fn arb_scope() -> impl Strategy<Value = Scope> {
+            let (c, d, e) = (
+                ClassName::new("C"),
+                ClassName::new("D"),
+                ClassName::new("E"),
+            );
+            prop::sample::select(vec![
+                Scope::All(c.clone()),
+                Scope::All(d.clone()),
+                Scope::All(e),
+                Scope::Merged(c.clone(), d.clone()),
+                Scope::Merged(d.clone(), c.clone()),
+                Scope::LocalOnly(c.clone()),
+                Scope::LocalOnly(d.clone()),
+                Scope::RemoteOnly(c),
+                Scope::RemoteOnly(d),
+            ])
+        }
+
+        /// Paths of one and two segments (through the reference `r`),
+        /// constants of every kind, and arithmetic that can divide by
+        /// zero or meet a non-number.
+        fn arb_expr() -> BoxedStrategy<Expr> {
+            let leaf = prop_oneof![
+                prop::sample::select(vec!["a", "b", "r", "r.a", "r.b", "missing"])
+                    .prop_map(Expr::attr),
+                (-1i64..3).prop_map(Expr::val),
+                prop::sample::select(vec![0.0, 2.5]).prop_map(Expr::val),
+                Just(Expr::val("ab")),
+                Just(Expr::Const(Value::Null)),
+            ];
+            leaf.prop_recursive(2, 8, 2, |inner| {
+                prop_oneof![
+                    (
+                        inner.clone(),
+                        prop::sample::select(vec![
+                            ArithOp::Add,
+                            ArithOp::Sub,
+                            ArithOp::Mul,
+                            ArithOp::Div,
+                        ]),
+                        inner.clone(),
+                    )
+                        .prop_map(|(a, op, b)| Expr::Bin(
+                            Box::new(a),
+                            op,
+                            Box::new(b)
+                        )),
+                    inner.prop_map(|e| Expr::Neg(Box::new(e))),
+                ]
+            })
+        }
+
+        fn arb_atom() -> impl Strategy<Value = Formula> {
+            let op = prop::sample::select(vec![
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ]);
+            // Sets mixing `Int` and `Real` (and a string), so membership
+            // must compare numbers with `sem_eq`.
+            let set = prop::sample::select(vec![
+                vec![Value::Int(1), Value::real(2.0)],
+                vec![Value::real(1.0), Value::Int(0), Value::str("ab")],
+                vec![Value::Bool(true)],
+            ]);
+            prop_oneof![
+                (arb_expr(), op.clone(), arb_expr()).prop_map(|(a, op, b)| Formula::Cmp(a, op, b)),
+                (op, prop::sample::select(vec!["a", "r.a"]), -1i64..3)
+                    .prop_map(|(op, p, c)| Formula::cmp(p, op, c)),
+                (arb_expr(), set).prop_map(|(e, s)| Formula::In(e, s.into_iter().collect())),
+                (arb_expr(), prop::sample::select(vec!["a", "b", ""]))
+                    .prop_map(|(e, n)| Formula::Contains(e, n.to_owned())),
+                Just(Formula::True),
+                Just(Formula::False),
+            ]
+        }
+
+        fn arb_formula() -> impl Strategy<Value = Formula> {
+            arb_atom().prop_recursive(3, 24, 4, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 0..4).prop_map(Formula::And),
+                    prop::collection::vec(inner.clone(), 0..4).prop_map(Formula::Or),
+                    inner.clone().prop_map(|f| Formula::Not(Box::new(f))),
+                    (inner.clone(), inner).prop_map(|(a, b)| a.implies(b)),
+                ]
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The columnar kernel reports exactly what the per-constraint
+            /// loop reports: the same conflicts, in the same order, with
+            /// the same text.
+            #[test]
+            fn kernel_matches_per_constraint_oracle(
+                objects in prop::collection::vec(arb_object(), 0..10),
+                constraints in prop::collection::vec((arb_scope(), arb_formula()), 0..8),
+            ) {
+                let view = build_view(&objects);
+                let global = GlobalConstraints {
+                    object: constraints
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (scope, f))| derived(&format!("c{i}"), scope, f))
+                        .collect(),
+                    ..Default::default()
+                };
+                let mut kernel = Vec::new();
+                instance_violations(&mut kernel, &global, &view);
+                let oracle = naive_instance_violations(&global, &view);
+                prop_assert_eq!(&kernel, &oracle, "kernel {:#?}\noracle {:#?}", kernel, oracle);
+            }
+        }
     }
 }

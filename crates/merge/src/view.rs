@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use interop_conform::Conformed;
-use interop_constraint::eval::Truth;
-use interop_constraint::{CmpOp, Expr, Formula, Path};
+use interop_constraint::eval::{eval_formula_with, Truth};
+use interop_constraint::{Formula, Path};
 use interop_model::{AttrName, ClassName, Database, ObjectId, Value};
 
 use crate::fuse::{FuseResult, GlobalObject};
@@ -80,78 +80,15 @@ impl IntegratedView {
         Value::Null
     }
 
-    /// Evaluates a (conformed) formula on a global object. Semantics
-    /// match the component-database evaluator: three-valued with `Null`.
+    /// Evaluates a (conformed) formula on a global object with the
+    /// component-database evaluator's rules
+    /// ([`interop_constraint::eval::eval_formula_with`]): three-valued
+    /// with `Null`. Paths navigate by [`IntegratedView::get_path`].
     pub fn eval(&self, obj: &GlobalObject, f: &Formula) -> Truth {
-        match f {
-            Formula::True => Truth::True,
-            Formula::False => Truth::False,
-            Formula::Cmp(a, op, b) => {
-                let (va, vb) = (self.eval_expr(obj, a), self.eval_expr(obj, b));
-                if va.is_null() || vb.is_null() {
-                    return Truth::Unknown;
-                }
-                match va.compare(&vb) {
-                    Some(ord) => Truth::from_bool(op.test(ord)),
-                    None => Truth::from_bool(matches!(op, CmpOp::Ne)),
-                }
-            }
-            Formula::In(e, set) => {
-                let v = self.eval_expr(obj, e);
-                if v.is_null() {
-                    return Truth::Unknown;
-                }
-                Truth::from_bool(set.iter().any(|s| s.sem_eq(&v)))
-            }
-            Formula::Contains(e, s) => match self.eval_expr(obj, e) {
-                Value::Null => Truth::Unknown,
-                Value::Str(hay) => Truth::from_bool(hay.contains(s.as_str())),
-                _ => Truth::False,
-            },
-            Formula::Not(inner) => self.eval(obj, inner).not(),
-            Formula::And(fs) => fs
-                .iter()
-                .fold(Truth::True, |acc, g| acc.and(self.eval(obj, g))),
-            Formula::Or(fs) => fs
-                .iter()
-                .fold(Truth::False, |acc, g| acc.or(self.eval(obj, g))),
-            Formula::Implies(a, b) => self.eval(obj, a).not().or(self.eval(obj, b)),
-        }
-    }
-
-    fn eval_expr(&self, obj: &GlobalObject, e: &Expr) -> Value {
-        match e {
-            Expr::Const(v) => v.clone(),
-            Expr::Attr(p) => self.get_path(obj, p),
-            Expr::Neg(inner) => match self.eval_expr(obj, inner).as_num() {
-                Some(n) => Value::Real(-n),
-                None => Value::Null,
-            },
-            Expr::Bin(a, op, b) => {
-                let (x, y) = (
-                    self.eval_expr(obj, a).as_num(),
-                    self.eval_expr(obj, b).as_num(),
-                );
-                match (x, y) {
-                    (Some(x), Some(y)) => {
-                        use interop_constraint::ArithOp::*;
-                        let r = match op {
-                            Add => x + y,
-                            Sub => x - y,
-                            Mul => x * y,
-                            Div => {
-                                if y.get() == 0.0 {
-                                    return Value::Null;
-                                }
-                                x / y
-                            }
-                        };
-                        Value::Real(r)
-                    }
-                    _ => Value::Null,
-                }
-            }
-        }
+        let Ok(t) = eval_formula_with(f, &mut |p| {
+            Ok::<_, std::convert::Infallible>(self.get_path(obj, p))
+        });
+        t
     }
 
     /// The global object an original (conformed) object was merged into.
@@ -315,7 +252,7 @@ fn infer_value_type(v: &Value) -> Option<interop_model::Type> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interop_constraint::Catalog;
+    use interop_constraint::{Catalog, CmpOp};
     use interop_model::{ClassDef, Database, Schema, Type};
     use interop_spec::{ComparisonRule, Conversion, Decision, InterCond, PropEq, Side, Spec};
 
