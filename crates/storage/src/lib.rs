@@ -120,11 +120,20 @@
 //!   recovery always yields a commit-order prefix containing every
 //!   acknowledged transaction.
 //! * **Every failed log sync latches** ([`wal::GroupSync`]): a
-//!   leader's sync (a single writer's included), a segment seal and
-//!   the `sync_all` of a snapshot reset all report to one sticky
-//!   error. It is reported to every waiter not yet covered, and from
-//!   then on nothing is appended, synced or acknowledged — a retried
-//!   fsync can falsely succeed, so none is trusted.
+//!   leader's sync (a single writer's included) and a segment seal (a
+//!   snapshot's included) report to one sticky error. It is reported
+//!   to every waiter not yet covered, and from then on nothing is
+//!   appended, synced, sealed or acknowledged — a retried fsync can
+//!   falsely succeed, so none is trusted — and no snapshot is written.
+//! * **The log shrinks only by whole sealed segments**
+//!   ([`Store::snapshot_now`]): every snapshot seals the active
+//!   segment, is written from the captured commit point, and only then
+//!   deletes the sealed segments it covers. No file of the log is cut
+//!   except by recovery's torn-tail cut ([`wal::WalWriter::open`]) and
+//!   the restore of a failed append
+//!   ([`wal::WalWriter::append_buffered`]), neither of which removes an
+//!   acknowledged frame; `scripts/lint_invariants.py` keeps `set_len(`
+//!   out of every other library line of this crate.
 //!
 //! # Example
 //!

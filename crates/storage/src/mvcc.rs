@@ -62,11 +62,13 @@
 //! anything before it).
 //!
 //! For [`DurabilityMode::WalWithSnapshots`] stores the construction
-//! also spawns a **background snapshot worker**: at cadence the commit
-//! path only seals the active WAL segment and hands the already
-//! published `Arc` snapshot to the worker, which writes the snapshot
-//! file (tmp + rename, as ever) and then prunes the sealed segments it
-//! made redundant — writers never stall on the dump.
+//! also spawns a **background snapshot worker**. Snapshots follow the
+//! single writer's protocol (see [`Store::snapshot_now`]), split at the
+//! commit mutex: at cadence the commit path only captures the snapshot
+//! (sealing the active WAL segment) and hands the job with the already
+//! published `Arc` snapshot of the same commit point to the worker,
+//! which writes the snapshot file and then prunes the sealed segments
+//! it made redundant — writers never stall on the dump.
 //! [`MvccStore::flush_snapshots`] waits for the worker to go idle;
 //! dropping the last handle drains it.
 //!
@@ -122,7 +124,6 @@ use interop_model::{AttrName, ClassName, Object, ObjectId, Value};
 
 use crate::optimize::Optimizer;
 use crate::oracle::{Item, QueryRecord, TxnRecord};
-use crate::snapshot;
 use crate::store::{DurabilityMode, SnapshotFailure, SnapshotJob, Store, StoreError};
 use crate::txn::{Transaction, TxnOp, TxnOutcome};
 use crate::wal::{DurabilityError, WalAck};
@@ -325,7 +326,8 @@ struct Inner {
     space: u32,
     /// Present only for [`DurabilityMode::WalWithSnapshots`] (and only
     /// when its thread could spawn): the background worker that writes
-    /// cadence snapshots off the commit path.
+    /// cadence snapshots off the commit path. Without it a committer
+    /// runs its cadence snapshot itself.
     snapshots: Option<SnapshotWorker>,
 }
 
@@ -366,8 +368,8 @@ impl SnapshotProgress {
 
 impl SnapshotWorker {
     /// Spawns the worker thread, or returns `None` when it cannot be
-    /// spawned (resource exhaustion) — the store then keeps its inline
-    /// snapshot cadence.
+    /// spawned (resource exhaustion) — each committer then runs its
+    /// cadence snapshot job itself ([`run_snapshot_job`]).
     fn spawn(committed: &Arc<Mutex<Committed>>) -> Option<Self> {
         let (tx, rx) = mpsc::channel();
         let progress = Arc::new(SnapshotProgress {
@@ -408,34 +410,27 @@ impl Drop for SnapshotWorker {
     }
 }
 
-/// The worker loop: dump each job's published snapshot to disk, then —
-/// under the commit mutex — prune the sealed segments the durable
-/// snapshot covers (or record the failure for
-/// [`MvccStore::take_snapshot_error`]).
+/// The worker loop: run each job as it arrives.
 fn snapshot_worker(
     rx: Receiver<(SnapshotJob, Arc<Store>)>,
     committed: Arc<Mutex<Committed>>,
     progress: Arc<SnapshotProgress>,
 ) {
     while let Ok((job, snap)) = rx.recv() {
-        let objects: Vec<&Object> = snap.db().objects().collect();
-        let result = snapshot::write_snapshot(
-            &job.dir,
-            job.watermark,
-            job.tracking,
-            &job.touched,
-            &objects,
-        );
-        drop(objects);
-        drop(snap);
-        let mut c = lock(&committed);
-        match result {
-            Ok(_) => c.store.prune_wal_segments(&job.prunable),
-            Err(e) => c.store.note_snapshot_failure(e),
-        }
-        drop(c);
+        run_snapshot_job(&committed, &job, snap);
         progress.completed();
     }
+}
+
+/// Runs a captured cadence snapshot job off the commit mutex: dumps
+/// `snap`, the published snapshot of the job's commit point, to disk,
+/// then — under the commit mutex — prunes the sealed segments the
+/// durable snapshot covers (or records the failure for
+/// [`MvccStore::take_snapshot_error`]).
+fn run_snapshot_job(committed: &Mutex<Committed>, job: &SnapshotJob, snap: Arc<Store>) {
+    let written = job.write(snap.db());
+    drop(snap);
+    lock(committed).store.finish_snapshot(job, written);
 }
 
 /// A shared, thread-safe handle to one MVCC store. Cloning is cheap
@@ -467,11 +462,11 @@ impl MvccStore {
     /// [`MvccStore::new`] with an explicit validation mode.
     ///
     /// For a [`DurabilityMode::WalWithSnapshots`] store this also
-    /// spawns the background snapshot worker and switches the store's
-    /// cadence to deferred: committers only raise a flag at cadence,
-    /// and the worker dumps the already-published `Arc` snapshot off
-    /// the commit path. If the thread cannot spawn, the cadence stays
-    /// inline.
+    /// spawns the background snapshot worker: a committer only captures
+    /// a due snapshot, and the worker dumps the already-published `Arc`
+    /// snapshot off the commit path. If the thread cannot spawn, the
+    /// committer runs the same job itself after releasing the commit
+    /// mutex.
     pub fn with_validation(store: Store, validation: ValidationMode) -> Self {
         let space = store.db().space();
         let next_serial = store
@@ -494,9 +489,6 @@ impl MvccStore {
         } else {
             None
         };
-        if snapshots.is_some() {
-            lock(&committed).store.set_deferred_snapshots(true);
-        }
         MvccStore {
             inner: Arc::new(Inner {
                 committed,
@@ -609,9 +601,11 @@ impl MvccStore {
         lock(&self.inner.committed).store.durability_mode()
     }
 
-    /// Snapshots the canonical store now (see [`Store::snapshot_now`]),
-    /// inline on the calling thread — the background worker is not
-    /// involved.
+    /// Snapshots the canonical store now and prunes the log segments it
+    /// covers (see [`Store::snapshot_now`]): capture, write and prune
+    /// all run on the calling thread under the commit mutex, so the
+    /// canonical store is the version of the captured commit point. The
+    /// background worker is not involved.
     pub fn snapshot_now(&self) -> Result<(), StoreError> {
         lock(&self.inner.committed).store.snapshot_now()
     }
@@ -682,9 +676,8 @@ impl MvccStore {
 
     /// Unwraps the canonical store when this is the last handle;
     /// returns the handle unchanged otherwise. Shuts the background
-    /// snapshot worker down first (draining every queued snapshot), and
-    /// hands the cadence back to the inline path of the single-threaded
-    /// store.
+    /// snapshot worker down first (draining every queued snapshot); the
+    /// single-threaded store then runs its cadence snapshots inline.
     pub fn into_store(self) -> Result<Store, MvccStore> {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => {
@@ -696,13 +689,11 @@ impl MvccStore {
                 // Joins the worker, which drains its queue first — so
                 // its `Arc` clone of `committed` is gone afterwards.
                 drop(snapshots);
-                let mut store = Arc::try_unwrap(committed)
+                Ok(Arc::try_unwrap(committed)
                     .unwrap_or_else(|_| unreachable!("worker joined; no other holder remains"))
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .store;
-                store.set_deferred_snapshots(false);
-                Ok(store)
+                    .store)
             }
             Err(inner) => Err(MvccStore { inner }),
         }
@@ -1026,13 +1017,13 @@ impl MvccTxn {
                 queries,
             });
         }
-        // If the cadence fell due on this commit, capture the snapshot
-        // job (sealing the active segment) together with the published
-        // snapshot — which is exactly the extension at the job's
-        // watermark — for the background worker.
+        // Count the commit towards the snapshot cadence; if a snapshot
+        // fell due, its job (captured here, sealing the active segment)
+        // pairs with the published snapshot, which is exactly the
+        // extension at the job's watermark.
         let snapshot_job = c
             .store
-            .take_snapshot_job()
+            .note_committed_txn()
             .map(|job| (job, Arc::clone(&snapshot)));
         let published = Published {
             ts,
@@ -1047,8 +1038,9 @@ impl MvccTxn {
             .unwrap_or_else(PoisonError::into_inner) = published;
         drop(c);
         if let Some((job, snap)) = snapshot_job {
-            if let Some(w) = &inner.snapshots {
-                w.submit(job, snap);
+            match &inner.snapshots {
+                Some(w) => w.submit(job, snap),
+                None => run_snapshot_job(&inner.committed, &job, snap),
             }
         }
         Ok(CommitTicket { ts, ack })

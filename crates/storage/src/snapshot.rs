@@ -13,10 +13,11 @@
 //! either the previous snapshot set or a stray `.tmp` that loading
 //! ignores, never a live file whose name is durable but whose bytes are
 //! not. [`write_snapshot`] returns only once the new snapshot is fully
-//! durable, which is why callers may prune older snapshots and truncate
-//! the WAL afterwards. A crash *between* snapshot and WAL truncation is
-//! benign because the snapshot records the transaction watermark and
-//! replay skips WAL transactions at or below it.
+//! durable, which is why callers may then prune older snapshots and the
+//! sealed WAL segments the snapshot covers. A crash *between* the
+//! snapshot and that pruning is benign because the snapshot records the
+//! transaction watermark and replay skips WAL transactions at or below
+//! it.
 //!
 //! # What a snapshot captures
 //!
@@ -133,7 +134,8 @@ fn decode(bytes: &[u8], path: &Path) -> Result<SnapshotData, DurabilityError> {
 /// rename, directory fsync), then removes any older snapshot files.
 /// Returns the live path — and returns at all only once the new
 /// snapshot is durable, so callers may safely discard what it replaces
-/// (older snapshots here, the WAL in [`crate::Store::snapshot_now`]).
+/// (older snapshots here, the covered WAL segments in
+/// [`crate::Store::snapshot_now`]).
 pub fn write_snapshot(
     dir: &Path,
     watermark: u64,

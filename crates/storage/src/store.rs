@@ -62,11 +62,13 @@ pub enum StoreError {
     /// store operations stay applied (memory runs ahead of the log,
     /// reported loudly); transaction commits roll back. A failed append
     /// leaves nothing of the operation in the log. A failed sync
-    /// latches the log, which refuses every later write, and whether
-    /// the unsynced run survives a restart is unknown. A failure
-    /// *after* the commit is durable — the automatic snapshot cadence —
-    /// never surfaces here: the commit stands and the error is reported
-    /// via [`Store::take_snapshot_error`].
+    /// latches the log, which refuses every later write (a snapshot
+    /// included), and whether the unsynced run survives a restart is
+    /// unknown. A failure *after* the commit is durable — the automatic
+    /// snapshot cadence — never surfaces here: the commit stands, the
+    /// error is reported via [`Store::take_snapshot_error`], and the
+    /// cadence retries after another [`Store::set_snapshot_every`]
+    /// committed transactions.
     Durability(DurabilityError),
 }
 
@@ -126,8 +128,8 @@ pub enum IndexMaintenance {
 /// takes the same branches it always did. `Wal` appends every committed
 /// transaction to the write-ahead log; `WalWithSnapshots` additionally
 /// dumps the canonical extension every
-/// [`Store::set_snapshot_every`] committed transactions and truncates
-/// the log, bounding replay time on reopen.
+/// [`Store::set_snapshot_every`] committed transactions and deletes the
+/// log segments the snapshot covers, bounding replay time on reopen.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DurabilityMode {
     /// In-memory only (the default; all existing behaviour unchanged).
@@ -135,7 +137,8 @@ pub enum DurabilityMode {
     Off,
     /// Append committed transactions to the write-ahead log.
     Wal,
-    /// WAL plus periodic snapshots (log truncated after each snapshot).
+    /// WAL plus periodic snapshots (covered log segments pruned after
+    /// each snapshot).
     WalWithSnapshots,
 }
 
@@ -162,17 +165,11 @@ struct DurabilityState {
     in_txn: bool,
     /// Deltas of the in-flight transaction.
     pending: Vec<WalRecord>,
-    /// Committed transactions since the last snapshot.
+    /// Committed transactions since the last snapshot capture; a
+    /// snapshot is due once it reaches `snapshot_every`.
     txns_since_snapshot: u64,
     /// Snapshot cadence (`WalWithSnapshots` only).
     snapshot_every: u64,
-    /// When true the snapshot cadence only raises `snapshot_due`
-    /// instead of dumping inline in the commit path; an owner (the MVCC
-    /// layer's background worker) drains the flag via
-    /// [`Store::take_snapshot_job`] and writes the snapshot off-thread.
-    deferred_snapshots: bool,
-    /// Raised by the cadence in deferred mode; cleared at job capture.
-    snapshot_due: bool,
     /// The **first** error among failed *automatic* snapshots since the
     /// last [`Store::take_snapshot_error`] poll — later failures bump
     /// `snapshot_failures` but never overwrite it, so a poller sees the
@@ -185,26 +182,42 @@ struct DurabilityState {
     snapshot_failures: u64,
 }
 
-/// What a deferred (background) snapshot must persist: captured under
-/// the commit path at cadence time, written to disk by a worker thread
-/// so committers never stall on the dump. The worker pairs it with the
-/// published MVCC `Arc` snapshot, whose state is exactly the extension
-/// at `watermark`.
+/// One snapshot, captured at a commit point by the store's commit path
+/// (see [`Store::snapshot_now`]) and then written from the database
+/// version of that same commit point: the store's own for a single
+/// writer, the published MVCC `Arc` for the background worker. Only
+/// once the snapshot is durable are the `prunable` segments deleted.
 #[derive(Debug)]
 pub(crate) struct SnapshotJob {
     /// The durability directory.
-    pub(crate) dir: PathBuf,
+    dir: PathBuf,
     /// The last committed transaction the snapshot covers.
-    pub(crate) watermark: u64,
+    watermark: u64,
     /// Touched-id tracking state at capture.
-    pub(crate) tracking: bool,
+    tracking: bool,
     /// Undrained touched ids at capture.
-    pub(crate) touched: Vec<ObjectId>,
+    touched: Vec<ObjectId>,
     /// Sealed WAL segments the snapshot makes redundant — pruned (under
     /// the commit path) only after the snapshot file is durable. Only
     /// segments sealed *before* capture qualify: markers or commits
     /// appended later live in segments outside this list.
-    pub(crate) prunable: Vec<u64>,
+    prunable: Vec<u64>,
+}
+
+impl SnapshotJob {
+    /// The write step: dumps `db`, which must be the database version
+    /// of the commit point the job captured, as a durable snapshot.
+    pub(crate) fn write(&self, db: &Database) -> Result<(), DurabilityError> {
+        let objects: Vec<&Object> = db.objects().collect();
+        snapshot::write_snapshot(
+            &self.dir,
+            self.watermark,
+            self.tracking,
+            &self.touched,
+            &objects,
+        )
+        .map(drop)
+    }
 }
 
 /// The record of failed automatic snapshots since the last successful
@@ -607,8 +620,6 @@ impl Store {
             pending: Vec::new(),
             txns_since_snapshot: 0,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            deferred_snapshots: false,
-            snapshot_due: false,
             snapshot_error: None,
             snapshot_failures: 0,
         }));
@@ -661,41 +672,51 @@ impl Store {
     }
 
     /// Sets the snapshot cadence for [`DurabilityMode::WalWithSnapshots`]:
-    /// a snapshot is taken (and the WAL truncated) every `every`
-    /// committed transactions. Clamped to at least 1; no effect in
-    /// other modes.
+    /// a snapshot is taken (and the log segments it covers pruned) every
+    /// `every` committed transactions. Clamped to at least 1; no effect
+    /// in other modes.
     pub fn set_snapshot_every(&mut self, every: u64) {
         if let Some(d) = self.durability.as_deref_mut() {
             d.snapshot_every = every.max(1);
         }
     }
 
-    /// Takes a snapshot of the current extension now and truncates the
-    /// WAL. No-op for non-durable stores. Useful before a planned
-    /// shutdown to make the next [`Store::open`] replay-free.
+    /// Takes a snapshot of the current extension now and deletes the log
+    /// segments it covers, so the next [`Store::open`] is replay-free
+    /// (useful before a planned shutdown). No-op for non-durable stores.
+    ///
+    /// Every snapshot, automatic or not, follows one protocol.
+    /// **Capture**: seal the active segment if it holds anything,
+    /// record the watermark and the touched-log state, list the sealed
+    /// segments the snapshot covers, and restart the cadence; a latched
+    /// log refuses here, before anything is written. **Write**: dump the
+    /// database version of the captured commit point (tmp, fsync,
+    /// rename, directory fsync). **Prune**: delete the listed segments.
+    /// A failure at any step leaves the log and the older snapshots
+    /// valid for recovery.
     pub fn snapshot_now(&mut self) -> Result<(), StoreError> {
-        self.snapshot_inner().map_err(StoreError::from)
+        if let Some(job) = self.capture_snapshot()? {
+            job.write(&self.db)?;
+            self.prune_wal_segments(&job.prunable)?;
+        }
+        Ok(())
     }
 
-    /// The shared snapshot body. The WAL is reset only *after*
-    /// [`snapshot::write_snapshot`] returns, i.e. after the new
-    /// snapshot is fully durable — a failure leaves the log (and the
-    /// older snapshots) exactly as they were. The reset itself is
-    /// durable (truncation synced, sealed-segment deletions followed by
-    /// a directory fsync), so power loss cannot resurrect stale
-    /// committed frames the snapshot already holds.
-    fn snapshot_inner(&mut self) -> Result<(), DurabilityError> {
+    /// The capture step of [`Store::snapshot_now`]'s protocol. `None`
+    /// for a non-durable store.
+    fn capture_snapshot(&mut self) -> Result<Option<SnapshotJob>, DurabilityError> {
         let Some(d) = self.durability.as_deref_mut() else {
-            return Ok(());
+            return Ok(None);
         };
-        let tracking = self.touched_log.is_some();
-        let touched = self.touched_log.clone().unwrap_or_default();
-        let objects: Vec<&Object> = self.db.objects().collect();
-        snapshot::write_snapshot(&d.dir, d.txn_seq, tracking, &touched, &objects)?;
-        d.wal.reset_all()?;
         d.txns_since_snapshot = 0;
-        d.snapshot_due = false;
-        Ok(())
+        d.wal.seal()?;
+        Ok(Some(SnapshotJob {
+            dir: d.dir.clone(),
+            watermark: d.txn_seq,
+            tracking: self.touched_log.is_some(),
+            touched: self.touched_log.clone().unwrap_or_default(),
+            prunable: d.wal.prunable(d.txn_seq),
+        }))
     }
 
     /// Takes (and clears) the record of automatic-snapshot failures
@@ -705,8 +726,10 @@ impl Store {
     /// Automatic snapshots run only once the triggering commit can no
     /// longer fail — for a single writer, after its covering sync — so
     /// their failure cannot fail the commit: it is surfaced here
-    /// instead, and the cadence retries on the next committed
-    /// transaction.
+    /// instead. The capture restarted the cadence, so the snapshot is
+    /// retried after another [`Store::set_snapshot_every`] committed
+    /// transactions; retrying on every commit would seal a fresh
+    /// segment per commit for as long as the failure lasts.
     pub fn take_snapshot_error(&mut self) -> Option<SnapshotFailure> {
         let d = self.durability.as_deref_mut()?;
         let first = d.snapshot_error.take()?;
@@ -718,7 +741,7 @@ impl Store {
 
     /// Records one failed automatic-snapshot attempt: the first error
     /// is kept, every attempt is counted.
-    pub(crate) fn note_snapshot_failure(&mut self, e: DurabilityError) {
+    fn note_snapshot_failure(&mut self, e: DurabilityError) {
         if let Some(d) = self.durability.as_deref_mut() {
             d.snapshot_failures += 1;
             if d.snapshot_error.is_none() {
@@ -728,10 +751,8 @@ impl Store {
     }
 
     /// Buffers `rec` in the transaction bracket. Outside an explicit
-    /// transaction the op is autocommitted: the bracket closes at once
-    /// ([`Store::wal_txn_commit`]), the run's covering sync is awaited,
-    /// and only then does the transaction count towards the snapshot
-    /// cadence. No-op when durability is off.
+    /// transaction the op is autocommitted through
+    /// [`Store::wal_txn_commit_synced`]. No-op when durability is off.
     fn wal_op(&mut self, rec: WalRecord) -> Result<(), StoreError> {
         let Some(d) = self.durability.as_deref_mut() else {
             return Ok(());
@@ -740,98 +761,71 @@ impl Store {
         if d.in_txn {
             return Ok(());
         }
+        self.wal_txn_commit_synced()
+    }
+
+    /// The single writer's close of the bracket: appends the run
+    /// ([`Store::wal_txn_commit`]), waits for its covering sync, and
+    /// only then counts the transaction towards the snapshot cadence,
+    /// running a due snapshot inline. A snapshot failure never fails
+    /// the commit; it is recorded for [`Store::take_snapshot_error`].
+    pub(crate) fn wal_txn_commit_synced(&mut self) -> Result<(), StoreError> {
         if let Some(ack) = self.wal_txn_commit()? {
             ack.wait()?;
-            self.note_committed_txn();
+            if let Some(job) = self.note_committed_txn() {
+                self.finish_snapshot(&job, job.write(&self.db));
+            }
         }
         Ok(())
     }
 
-    /// Post-commit bookkeeping: counts the transaction towards the
-    /// snapshot cadence and snapshots when it is reached — inline here,
-    /// or by raising `snapshot_due` for the background worker when
-    /// deferred snapshots are on. Called once the commit can no longer
+    /// Counts a committed transaction towards the snapshot cadence and,
+    /// once a snapshot is due, captures it (see [`Store::snapshot_now`])
+    /// for the caller to write and then hand to
+    /// [`Store::finish_snapshot`]. Called once the commit can no longer
     /// fail: a single writer calls it after the covering sync
-    /// succeeded, an MVCC committer right after the append (its commit
-    /// stands from then on, and an inline snapshot's reset covers the
-    /// run). Infallible by design — a snapshot failure must not
-    /// propagate into the commit path (a caller would roll memory back
-    /// while the log keeps the commit, and replay would diverge on
-    /// reopen). The error is stashed for [`Store::take_snapshot_error`];
-    /// the unreset cadence counter retries the snapshot on the next
-    /// commit.
-    pub(crate) fn note_committed_txn(&mut self) {
-        let Some(d) = self.durability.as_deref_mut() else {
-            return;
-        };
+    /// succeeded, an MVCC committer after the append (its commit stands
+    /// from then on, and the capture's seal covers the run).
+    /// Infallible by design — a snapshot failure must not propagate
+    /// into the commit path (a caller would roll memory back while the
+    /// log keeps the commit, and replay would diverge on reopen), so a
+    /// failed capture is recorded here.
+    pub(crate) fn note_committed_txn(&mut self) -> Option<SnapshotJob> {
+        let d = self.durability.as_deref_mut()?;
         if d.mode != DurabilityMode::WalWithSnapshots {
-            return;
+            return None;
         }
         d.txns_since_snapshot += 1;
         if d.txns_since_snapshot < d.snapshot_every {
-            return;
-        }
-        if d.deferred_snapshots {
-            d.snapshot_due = true;
-            return;
-        }
-        if let Err(e) = self.snapshot_inner() {
-            self.note_snapshot_failure(e);
-        }
-    }
-
-    /// Switches the snapshot cadence between inline (the commit path
-    /// dumps the extension itself) and deferred (the cadence only
-    /// raises a flag for [`Store::take_snapshot_job`]). The MVCC layer
-    /// turns this on when it owns a background snapshot worker.
-    pub(crate) fn set_deferred_snapshots(&mut self, on: bool) {
-        if let Some(d) = self.durability.as_deref_mut() {
-            d.deferred_snapshots = on;
-        }
-    }
-
-    /// Captures the work of one due background snapshot, or `None` when
-    /// no snapshot is due. Seals the active segment first (so every
-    /// transaction the snapshot covers sits in sealed — durable,
-    /// prunable — segments) and lists the sealed segments the snapshot
-    /// will make redundant. The caller pairs the job with an `Arc`
-    /// snapshot of the extension at the same commit point and hands
-    /// both to the worker; [`Store::prune_wal_segments`] runs after the
-    /// snapshot file is durable.
-    pub(crate) fn take_snapshot_job(&mut self) -> Option<SnapshotJob> {
-        let d = self.durability.as_deref_mut()?;
-        if !d.snapshot_due {
             return None;
         }
-        d.snapshot_due = false;
-        d.txns_since_snapshot = 0;
-        if d.wal.active_len() > 0 {
-            if let Err(e) = d.wal.rotate() {
-                // The snapshot never started; count it as a failed
-                // attempt and let the cadence retry.
-                self.note_snapshot_failure(e);
-                return None;
-            }
-        }
-        let watermark = d.txn_seq;
-        Some(SnapshotJob {
-            dir: d.dir.clone(),
-            watermark,
-            tracking: self.touched_log.is_some(),
-            touched: self.touched_log.clone().unwrap_or_default(),
-            prunable: d.wal.prunable(watermark),
+        self.capture_snapshot().unwrap_or_else(|e| {
+            self.note_snapshot_failure(e);
+            None
         })
     }
 
-    /// Deletes sealed WAL segments a durable snapshot made redundant
-    /// (directory-fsynced). Failures are recorded as snapshot failures —
-    /// the segments stay, replay merely re-skips their transactions.
-    pub(crate) fn prune_wal_segments(&mut self, seqs: &[u64]) {
-        let Some(d) = self.durability.as_deref_mut() else {
-            return;
-        };
-        if let Err(e) = d.wal.prune_sealed(seqs) {
+    /// Finishes an automatic snapshot whose write step returned
+    /// `written`: prunes the job's segments once the snapshot is
+    /// durable, and records a failure of either step for
+    /// [`Store::take_snapshot_error`].
+    pub(crate) fn finish_snapshot(
+        &mut self,
+        job: &SnapshotJob,
+        written: Result<(), DurabilityError>,
+    ) {
+        if let Err(e) = written.and_then(|()| self.prune_wal_segments(&job.prunable)) {
             self.note_snapshot_failure(e);
+        }
+    }
+
+    /// The prune step: deletes sealed WAL segments a durable snapshot
+    /// made redundant (directory-fsynced). On failure the segments
+    /// stay, and replay merely re-skips their transactions.
+    fn prune_wal_segments(&mut self, seqs: &[u64]) -> Result<(), DurabilityError> {
+        match self.durability.as_deref_mut() {
+            Some(d) => d.wal.prune_sealed(seqs),
+            None => Ok(()),
         }
     }
 
@@ -863,11 +857,12 @@ impl Store {
     /// one contiguous `Begin … Commit` run **without syncing** and
     /// returns the ack of its covering sync — `None` when nothing was
     /// logged (no durability, or an empty transaction). A single writer
-    /// waits on the ack at once; MVCC committers wait on it outside the
-    /// commit mutex. Either then counts the transaction towards the
-    /// snapshot cadence ([`Store::note_committed_txn`]). `Err` is
-    /// returned **only** for append failures, which leave nothing of
-    /// the transaction in the log.
+    /// waits on the ack at once ([`Store::wal_txn_commit_synced`]);
+    /// MVCC committers wait on it outside the commit mutex. Either
+    /// counts the transaction towards the snapshot cadence
+    /// ([`Store::note_committed_txn`]). `Err` is returned **only** for
+    /// append failures, which leave nothing of the transaction in the
+    /// log.
     pub(crate) fn wal_txn_commit(&mut self) -> Result<Option<wal::WalAck>, StoreError> {
         let Some(d) = self.durability.as_deref_mut() else {
             return Ok(None);

@@ -158,30 +158,25 @@ impl Transaction {
     /// them (crash recovery then sees nothing of the transaction). A
     /// single writer is a group-commit batch of one: it waits on its own
     /// ack, and its sync is issued at once. Only after that sync does
-    /// the transaction count towards the snapshot cadence, so a failed
-    /// automatic snapshot never un-commits it. If the append or its
-    /// sync fails, the in-memory state rolls back too and the outcome
-    /// is [`TxnOutcome::RolledBack`]. A failed append leaves nothing in
-    /// the log; a failed sync latches the log against every later
-    /// write, and whether the unsynced run survives a restart is
-    /// unknown.
+    /// the transaction count towards the snapshot cadence, whose due
+    /// snapshot then runs inline, so a failed automatic snapshot never
+    /// un-commits it. If the append or its sync fails, the in-memory
+    /// state rolls back too and the outcome is
+    /// [`TxnOutcome::RolledBack`]. A failed append leaves nothing in the
+    /// log; a failed sync latches the log against every later write, and
+    /// whether the unsynced run survives a restart is unknown.
     pub fn commit(self, store: &mut Store) -> TxnOutcome {
-        self.commit_with(store, |s| {
-            if let Some(ack) = s.wal_txn_commit()? {
-                ack.wait()?;
-                s.note_committed_txn();
-            }
-            Ok(None)
-        })
-        .0
+        self.commit_with(store, |s| s.wal_txn_commit_synced().map(|()| None))
+            .0
     }
 
     /// [`Transaction::commit`] for a committer that waits for the
     /// covering sync later: identical up to the WAL append, but the run
     /// is not synced here — the returned [`WalAck`] (present only when
     /// durability actually logged something) blocks until a covering
-    /// sync lands. The transaction counts towards the snapshot cadence
-    /// at once: from the append on it stands.
+    /// sync lands. From the append on the transaction stands, and the
+    /// caller counts it towards the snapshot cadence
+    /// ([`Store::note_committed_txn`]).
     ///
     /// An **append** failure still rolls the in-memory state back,
     /// exactly like [`Transaction::commit`]. A failure of the covering
@@ -190,13 +185,7 @@ impl Transaction {
     /// of later committers' frames, so they cannot be truncated away;
     /// the MVCC layer surfaces this as a loud commit error.
     pub(crate) fn commit_deferred(self, store: &mut Store) -> (TxnOutcome, Option<WalAck>) {
-        self.commit_with(store, |s| {
-            let ack = s.wal_txn_commit()?;
-            if ack.is_some() {
-                s.note_committed_txn();
-            }
-            Ok(ack)
-        })
+        self.commit_with(store, Store::wal_txn_commit)
     }
 
     /// Applies the operations, then closes the WAL bracket with
@@ -540,6 +529,7 @@ mod tests {
 
     /// A durable store in `WalWithSnapshots` mode that snapshots after
     /// every commit, in a fresh directory.
+    #[cfg(target_os = "linux")]
     fn snapshotting_store(name: &str) -> (Store, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("interop-txn-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -555,6 +545,7 @@ mod tests {
         (s, dir)
     }
 
+    #[cfg(target_os = "linux")]
     fn reopen(dir: &std::path::Path) -> Store {
         let (db, cat) = parts();
         Store::open(db, cat, dir, crate::store::DurabilityMode::WalWithSnapshots).unwrap()
@@ -588,34 +579,36 @@ mod tests {
         assert_eq!(reopen(&dir).db().len(), 0, "nothing recovers the run");
     }
 
+    /// A snapshot's capture refuses a latched log before anything is
+    /// written: no snapshot may hold a run whose sync failed.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn failed_snapshot_reset_leaves_the_commit_committed() {
-        let (mut s, dir) = snapshotting_store("reset-cadence");
-        s.wal_for_test().unwrap().fail_next_truncate_for_test();
+    fn a_latched_log_writes_no_snapshot() {
+        let (mut s, dir) = snapshotting_store("latched-snapshot");
+        let null = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/null")
+            .unwrap();
+        let real = s
+            .wal_for_test()
+            .unwrap()
+            .swap_file_for_test(std::sync::Arc::new(null));
         let a = emp(&mut s, "1", 1000.0, 10);
-        assert!(
-            matches!(
-                Transaction::new().insert(a).commit(&mut s),
-                TxnOutcome::Committed { applied: 1 }
-            ),
-            "the sync succeeded before the cadence ran: the commit stands"
-        );
-        let err = s.take_snapshot_error().expect("the reset failure surfaced");
-        assert!(err
-            .first
-            .to_string()
-            .contains("injected truncation failure"));
-        // A failed truncation does not latch: the next commit goes
-        // through, and its cadence retries the snapshot.
-        assert_eq!(s.db().len(), 1);
-        let b = emp(&mut s, "2", 1000.0, 20);
         assert!(matches!(
-            Transaction::new().insert(b).commit(&mut s),
-            TxnOutcome::Committed { applied: 1 }
+            Transaction::new().insert(a).commit(&mut s),
+            TxnOutcome::RolledBack {
+                error: StoreError::Durability(_),
+                ..
+            }
         ));
-        assert!(s.take_snapshot_error().is_none(), "retry succeeded");
-        drop(s);
-        assert_eq!(reopen(&dir).db().len(), 2, "both commits recovered");
+        drop(s.wal_for_test().unwrap().swap_file_for_test(real));
+        assert!(matches!(s.snapshot_now(), Err(StoreError::Durability(_))));
+        let snaps = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains(".snap"))
+            .count();
+        assert_eq!(snaps, 0, "the latched log got no snapshot file");
     }
 
     #[test]

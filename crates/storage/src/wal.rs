@@ -39,10 +39,13 @@
 //! survives power loss). Recovery scans segments in ascending order
 //! with the single-file torn-tail rules applied per segment, and stops
 //! at the first torn segment or sequence gap: bytes past a corruption
-//! point are not trusted, even when they live in a later file. A
+//! point are not trusted, even when they live in a later file. Every
+//! snapshot first seals the active segment if it holds anything, so a
 //! snapshot at watermark `W` makes every sealed segment whose
 //! transactions all have `seq <= W` redundant; pruning deletes those
-//! files and fsyncs the directory.
+//! files and fsyncs the directory once the snapshot is durable. That
+//! is the only way the log shrinks: no segment is ever truncated to
+//! discard acknowledged frames.
 //!
 //! # Group commit
 //!
@@ -58,10 +61,10 @@
 //! lose only unacknowledged tail transactions.
 //!
 //! A failed sync **latches** the log, whichever path issued it: a
-//! leader's sync, the seal of a segment, or the `sync_all` of a
-//! snapshot reset. After an fsync error the file's page-cache state is
+//! leader's sync or the seal of a segment (a snapshot's seal
+//! included). After an fsync error the file's page-cache state is
 //! unknowable and a retried fsync can falsely succeed, so from then on
-//! nothing is appended, synced or acknowledged.
+//! nothing is appended, synced, sealed or acknowledged.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -538,10 +541,6 @@ pub struct WalWriter {
     /// does not pay a `seek` syscall per run. Every mutation of the
     /// file's length goes through this writer, which keeps it exact.
     cached_len: u64,
-    /// Test hook: the next [`WalWriter::truncate`] fails, as
-    /// `ftruncate` can, while writes and syncs keep working.
-    #[cfg(test)]
-    fail_truncate: bool,
 }
 
 impl WalWriter {
@@ -565,8 +564,6 @@ impl WalWriter {
             path: path.to_path_buf(),
             poisoned: false,
             cached_len: 0,
-            #[cfg(test)]
-            fail_truncate: false,
         };
         w.cached_len = (&*w.file)
             .seek(SeekFrom::End(0))
@@ -623,33 +620,6 @@ impl WalWriter {
     fn swap_file_for_test(&mut self, file: Arc<File>) -> Arc<File> {
         std::mem::replace(&mut self.file, file)
     }
-
-    /// Empties the file (after a snapshot captured everything it held)
-    /// and positions at its start. The new length lives only in the
-    /// page cache until [`WalWriter::sync_all`]; a failed `ftruncate`
-    /// leaves the file as it was.
-    pub fn truncate(&mut self) -> Result<(), DurabilityError> {
-        #[cfg(test)]
-        if std::mem::take(&mut self.fail_truncate) {
-            return Err(DurabilityError::Io(format!(
-                "{}: injected truncation failure",
-                self.path.display()
-            )));
-        }
-        self.file.set_len(0).map_err(|e| io_err(&self.path, e))?;
-        (&*self.file)
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| io_err(&self.path, e))?;
-        self.cached_len = 0;
-        Ok(())
-    }
-
-    /// Flushes data **and** metadata to stable storage — after a
-    /// truncation the length is what must reach the disk, and a size
-    /// change is metadata, so `sync_data` is not enough.
-    pub fn sync_all(&self) -> Result<(), DurabilityError> {
-        self.file.sync_all().map_err(|e| io_err(&self.path, e))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -660,8 +630,8 @@ impl WalWriter {
 /// log passes. Appends are serialized by the store's commit path and
 /// numbered; `synced` is the highest append index a sync has covered.
 /// Waiters for uncovered indexes elect a leader that issues one sync
-/// for everything appended so far; the seal of a segment and the sync
-/// of a snapshot reset cover it too.
+/// for everything appended so far; the seal of a segment covers it
+/// too.
 ///
 /// A failed sync is **sticky**: after an fsync error the page cache
 /// state of the file is unknowable, so the coordinator latches the
@@ -1014,6 +984,19 @@ impl SegmentedWal {
         Ok(())
     }
 
+    /// Seals the active segment if it holds anything (see
+    /// [`SegmentedWal::rotate`]) — a snapshot's first step, after which
+    /// every transaction appended so far sits in a sealed, durable
+    /// segment the snapshot can cover. Refused once latched, even with
+    /// nothing to seal, so a latched log never gets a snapshot.
+    pub(crate) fn seal(&mut self) -> Result<(), DurabilityError> {
+        self.gc.check()?;
+        if self.active_len > 0 {
+            self.rotate()?;
+        }
+        Ok(())
+    }
+
     /// The sealed segments a snapshot at `watermark` makes redundant:
     /// every transaction in them replays as `seq <= watermark`.
     pub fn prunable(&self, watermark: u64) -> Vec<u64> {
@@ -1043,52 +1026,11 @@ impl SegmentedWal {
         Ok(())
     }
 
-    /// Discards the entire log after a snapshot captured everything it
-    /// held: durably truncates the active segment and deletes every
-    /// sealed segment, fsyncing the directory. All outstanding appends
-    /// are acknowledged — the snapshot holds them now.
-    ///
-    /// **Invariant: the truncation is itself durable.** `set_len(0)`
-    /// alone lives only in the page cache; after power loss the old
-    /// length — and the stale committed frames inside it — could come
-    /// back, and only the `seq > watermark` replay filter would stand
-    /// between those resurrected frames and a double-apply. The
-    /// `sync_all` that forces it to disk reports to the latch like any
-    /// other sync; a failed `ftruncate` changed nothing and does not
-    /// latch. Refused once latched.
-    pub fn reset_all(&mut self) -> Result<(), DurabilityError> {
-        self.gc.check()?;
-        self.writer.truncate()?;
-        self.active_len = 0;
-        self.gc.sync_appended(|| self.writer.sync_all())?;
-        let had_sealed = !self.sealed.is_empty();
-        for s in std::mem::take(&mut self.sealed) {
-            let path = segment_path(&self.dir, s.seq);
-            std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-        }
-        if had_sealed {
-            fsync_dir(&self.dir)?;
-        }
-        Ok(())
-    }
-
-    /// Byte length of the active segment.
-    pub fn active_len(&self) -> u64 {
-        self.active_len
-    }
-
     /// Swaps the active segment's file handle — test hook for forcing
     /// sync failures (see [`WalWriter::swap_file_for_test`]).
     #[cfg(test)]
     pub(crate) fn swap_file_for_test(&mut self, file: Arc<File>) -> Arc<File> {
         self.writer.swap_file_for_test(file)
-    }
-
-    /// Makes the next truncation of the active segment fail — test hook
-    /// for a snapshot reset that fails while syncs still succeed.
-    #[cfg(test)]
-    pub(crate) fn fail_next_truncate_for_test(&mut self) {
-        self.writer.fail_truncate = true;
     }
 }
 
@@ -1221,7 +1163,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_epochs_survive_rotation_and_reset() {
+    fn ack_epochs_survive_rotation_and_seal() {
         let dir = scratch("epochs");
         let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
         let a1 = wal.append_run(&run(1), 1).unwrap();
@@ -1232,13 +1174,18 @@ mod tests {
         wal.rotate().unwrap();
         a1.wait().expect("sealed segments are durable");
         let a2 = wal.append_run(&run(2), 2).unwrap();
-        // A durable reset (snapshot) truncates in place: same story —
-        // offset reuse must not resurrect or orphan ack indexes.
-        wal.reset_all().unwrap();
-        a2.wait().expect("reset syncs everything it discards");
+        // A snapshot's seal is the same rotation; sealing again with
+        // nothing appended leaves the empty active segment in place.
+        wal.seal().unwrap();
+        a2.wait().expect("the seal syncs everything it seals");
+        wal.seal().unwrap();
+        assert_eq!(wal.active_seq(), 3, "an empty segment is not sealed");
         let a3 = wal.append_run(&run(3), 3).unwrap();
-        a3.wait().expect("post-reset appends get fresh epochs");
-        assert_eq!(wal.sealed(), &[], "reset deleted the sealed segment");
+        a3.wait().expect("post-seal appends get fresh epochs");
+        assert_eq!(
+            wal.sealed().iter().map(|s| s.seq).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
     }
 
     #[test]
@@ -1323,8 +1270,8 @@ mod tests {
     }
 
     /// Swaps `/dev/null` in as the active segment's handle: writes to
-    /// it succeed, and `fdatasync` and `ftruncate` fail with `EINVAL` —
-    /// a sync failure on demand. Returns the real handle.
+    /// it succeed, and `fdatasync` fails with `EINVAL` — a sync failure
+    /// on demand. Returns the real handle.
     #[cfg(target_os = "linux")]
     fn fail_syncs(wal: &mut SegmentedWal) -> Arc<File> {
         let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
@@ -1340,7 +1287,6 @@ mod tests {
         for seq in [8, 9] {
             assert!(wal.append_run(&run(seq), seq).is_err(), "append refused");
             assert!(wal.rotate().is_err(), "seal refused");
-            assert!(wal.reset_all().is_err(), "reset refused");
         }
     }
 
@@ -1374,25 +1320,6 @@ mod tests {
             .wait()
             .expect("covered before the failure: acknowledged for good");
         assert_latched(&mut wal, real);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn failed_truncation_does_not_latch() {
-        let dir = scratch("truncate");
-        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        let ack = wal.append_run(&run(1), 1).unwrap();
-        // `ftruncate` on `/dev/null` fails with EINVAL before any sync.
-        let real = fail_syncs(&mut wal);
-        assert!(wal.reset_all().is_err(), "the truncation fails");
-        drop(wal.swap_file_for_test(real));
-        // A failed truncation changes nothing, so there is no unknown
-        // page-cache state to latch on: the run is still in the file and
-        // a later sync acknowledges it.
-        ack.wait().expect("a failed truncation does not latch");
-        append_synced(&mut wal, 2);
-        wal.reset_all().unwrap();
-        assert_eq!(scan_wal(&segment_path(&dir, 1)).unwrap().file_len, 0);
     }
 
     #[test]

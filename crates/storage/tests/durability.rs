@@ -1,5 +1,5 @@
 //! Integration tests for the durability layer: reopen replays committed
-//! work, snapshots truncate the log, the touched-id log survives a
+//! work, snapshots prune the log, the touched-id log survives a
 //! restart without re-logging replayed history, clones are detached,
 //! and `DurabilityMode::Off` touches no files.
 
@@ -7,7 +7,8 @@ use std::path::{Path, PathBuf};
 
 use interop_constraint::Catalog;
 use interop_model::{ClassDef, Database, ObjectId, Schema, Type, Value};
-use interop_storage::{DurabilityMode, Store, Transaction, TxnOutcome};
+use interop_storage::wal::{scan_segments, segment_path};
+use interop_storage::{DurabilityMode, MvccStore, Store, Transaction, TxnOutcome, WalRecord};
 
 fn schema() -> Schema {
     Schema::new(
@@ -123,13 +124,22 @@ fn snapshots_truncate_wal_and_recover() {
     }
     let before = dump(&s);
     drop(s);
-    // 10 committed txns at cadence 4 → snapshots at 4 and 8; the WAL
-    // (the first — and only — segment of a fresh directory) holds only
-    // the 2 post-snapshot txns.
-    let wal = std::fs::metadata(interop_storage::wal::segment_path(&dir, 1))
-        .unwrap()
-        .len();
-    assert!(wal > 0, "post-snapshot txns remain in the log");
+    // 10 committed txns at cadence 4 → snapshots at 4 and 8, each
+    // sealing the active segment and pruning the sealed segments it
+    // covers: one segment is left, holding only the 2 post-snapshot
+    // txns.
+    let segs = scan_segments(&dir).unwrap();
+    assert_eq!(segs.len(), 1, "covered segments pruned");
+    let commits: Vec<u64> = segs[0]
+        .scan
+        .records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Commit { seq } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(commits, vec![9, 10], "post-snapshot txns remain in the log");
     let snaps: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -183,15 +193,14 @@ fn snapshot_failure_does_not_roll_back_a_durable_commit() {
     assert_eq!(dump(&s), before, "both commits recovered");
 }
 
-/// Regression: the snapshot reset of the log
-/// (`SegmentedWal::reset_all`) used to truncate with no sync — after
-/// power loss the filesystem could legally resurrect the
-/// pre-truncation length, replaying *stale committed frames the
-/// snapshot already holds*. The reset is now durable (`sync_all`,
-/// since a size change is metadata), and the replay-side
-/// `seq > watermark` filter stays as belt-and-braces. This test
-/// simulates the resurrection: it writes the pre-snapshot log bytes
-/// back into the truncated segment and demands recovery ignore them.
+/// A snapshot deletes the sealed segments it covers only after it is
+/// durable, but stale committed frames the snapshot already holds can
+/// still come back: power loss can undo a deletion whose directory
+/// fsync never completed, and a crash between the snapshot and the
+/// prune leaves the segment in place. The replay-side
+/// `seq > watermark` filter must ignore them. This test resurrects the
+/// pruned segment and also appends its frames after the live tail,
+/// and demands recovery ignore both.
 #[test]
 fn resurrected_stale_tail_never_reapplies_snapshotted_txns() {
     let dir = scratch("resurrect");
@@ -201,23 +210,26 @@ fn resurrected_stale_tail_never_reapplies_snapshotted_txns() {
         .create("Item", vec![("k", "a".into()), ("v", 1i64.into())])
         .unwrap();
     s.update(a, "v", Value::int(2)).unwrap();
-    let wal_path = interop_storage::wal::segment_path(&dir, 1);
+    let wal_path = segment_path(&dir, 1);
     let stale = std::fs::read(&wal_path).unwrap();
     assert!(!stale.is_empty());
-    // Snapshot: the two txns move into the snapshot, the log resets.
+    // Snapshot: the two txns move into the snapshot, and the sealed
+    // segment holding them is pruned.
     s.snapshot_now().unwrap();
+    assert!(!wal_path.exists(), "the covered segment was pruned");
     // One post-snapshot commit, so the resurrected tail lands *after*
     // live frames — the worst case, since replay must scan past it.
     s.update(a, "v", Value::int(3)).unwrap();
     let before = dump(&s);
     drop(s);
-    // Simulate the un-synced truncate coming back: append the stale
-    // pre-snapshot frames after the live tail. Their CRCs are intact —
+    // Resurrect the pruned segment, and append the same stale frames
+    // after the live tail of its successor. Their CRCs are intact —
     // only their `seq <= watermark` marks them as already applied.
+    std::fs::write(&wal_path, &stale).unwrap();
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
         .append(true)
-        .open(&wal_path)
+        .open(segment_path(&dir, 2))
         .unwrap();
     f.write_all(&stale).unwrap();
     drop(f);
@@ -263,6 +275,64 @@ fn snapshot_failures_keep_first_error_and_count_all() {
     assert!(s.take_snapshot_error().is_none(), "taken once");
 }
 
+/// The watermarks of the live snapshot files in `dir`, ascending.
+fn snapshot_marks(dir: &Path) -> Vec<u64> {
+    let mut marks: Vec<u64> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter_map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.strip_prefix("snapshot-")?
+                .strip_suffix(".snap")?
+                .parse()
+                .ok()
+        })
+        .collect();
+    marks.sort_unstable();
+    marks
+}
+
+/// A failed automatic snapshot is retried after another full cadence,
+/// not on the next commit, and the single writer and the MVCC worker
+/// agree: the capture restarts the cadence whatever the write step
+/// does later.
+#[test]
+fn failed_snapshot_retries_after_a_full_cadence() {
+    for background in [false, true] {
+        let dir = scratch(&format!("retry-{background}"));
+        let mut s = open(&dir, DurabilityMode::WalWithSnapshots);
+        s.set_snapshot_every(2);
+        // Block the tmp path of the snapshot at watermark 2.
+        std::fs::create_dir_all(dir.join("snapshot-00000000000000000002.snap.tmp")).unwrap();
+        let attrs = |i: i64| vec![("k", format!("k{i}").as_str().into()), ("v", i.into())];
+        let mut seen = Vec::new();
+        let failure = if background {
+            let m = MvccStore::new(s);
+            for i in 1..=4 {
+                let mut t = m.begin();
+                t.create("Item", attrs(i)).unwrap();
+                t.commit().unwrap();
+                m.flush_snapshots();
+                seen.push(snapshot_marks(&dir));
+            }
+            m.take_snapshot_error()
+        } else {
+            for i in 1..=4 {
+                s.create("Item", attrs(i)).unwrap();
+                seen.push(snapshot_marks(&dir));
+            }
+            s.take_snapshot_error()
+        };
+        assert_eq!(
+            seen,
+            vec![vec![], vec![], vec![], vec![4]],
+            "background = {background}: no snapshot at watermark 2 or 3, one at 4"
+        );
+        let failure = failure.expect("the watermark-2 failure surfaced");
+        assert_eq!(failure.failures, 1, "background = {background}");
+    }
+}
+
 #[test]
 fn snapshot_now_makes_reopen_replay_free() {
     let dir = scratch("snapnow");
@@ -277,12 +347,11 @@ fn snapshot_now_makes_reopen_replay_free() {
     let before = dump(&s);
     s.snapshot_now().unwrap();
     drop(s);
-    assert_eq!(
-        std::fs::metadata(interop_storage::wal::segment_path(&dir, 1))
-            .unwrap()
-            .len(),
-        0,
-        "snapshot truncates the log"
+    let segs = scan_segments(&dir).unwrap();
+    assert!(!segs.is_empty(), "the empty active segment remains");
+    assert!(
+        segs.iter().all(|seg| seg.scan.file_len == 0),
+        "no segment holds a frame"
     );
     let s = open(&dir, DurabilityMode::Wal);
     assert_eq!(dump(&s), before);

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use interop_constraint::{Catalog, CmpOp, Formula};
-use interop_model::{ClassDef, Database, ObjectId, Schema, Type, Value};
+use interop_model::{ClassDef, Database, Object, ObjectId, Schema, Type, Value};
 use interop_storage::wal::{list_segments, scan_segments, scan_wal, segment_path, WalScan};
 use interop_storage::{
     check_order, replay, DurabilityMode, MvccStore, Store, TxnRecord, WalRecord,
@@ -442,6 +442,73 @@ fn background_snapshots_prune_covered_segments() {
     .expect("reopen");
     assert_eq!(dump(&reopened), before, "snapshot + tail ≡ pre-close state");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every snapshot follows one protocol, whoever runs it: the same
+/// fixed-id inserts through a single writer (snapshots inline) and
+/// through an MVCC store (snapshots on the worker) leave directories
+/// with the same files, byte lengths included, that reopen to the same
+/// objects.
+#[test]
+fn inline_and_background_snapshots_leave_the_same_directory() {
+    let open_snapshotting = |dir: &std::path::Path| {
+        let mut s = Store::open(
+            Database::new(schema(), 1),
+            Catalog::new(),
+            dir,
+            DurabilityMode::WalWithSnapshots,
+        )
+        .expect("open durable");
+        s.set_snapshot_every(5);
+        s.set_wal_segment_bytes(256);
+        s
+    };
+    let item = |i: u64| {
+        Object::new(ObjectId::new(1, 100 + i), "Item".into())
+            .with("k", format!("k{i}").as_str())
+            .with("v", (i % 100) as i64)
+    };
+    let inline_dir = scratch("same-inline");
+    let mut single = open_snapshotting(&inline_dir);
+    for i in 0..23 {
+        single.insert(item(i)).expect("insert");
+    }
+    drop(single);
+    let background_dir = scratch("same-background");
+    let store = MvccStore::new(open_snapshotting(&background_dir));
+    for i in 0..23 {
+        let mut t = store.begin();
+        t.insert(item(i)).expect("insert");
+        t.commit().expect("commit");
+    }
+    store.flush_snapshots();
+    assert!(store.take_snapshot_error().is_none());
+    drop(store.into_store().expect("sole handle"));
+
+    let listing = |dir: &std::path::Path| {
+        let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                let len = e.metadata().expect("metadata").len();
+                (e.file_name().to_string_lossy().into_owned(), len)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let files = listing(&inline_dir);
+    assert!(
+        files.iter().any(|(name, _)| name.ends_with(".snap")),
+        "a cadence snapshot reached the directory: {files:?}"
+    );
+    assert_eq!(files, listing(&background_dir));
+    let reopen = |dir: &std::path::Path| dump(&open_snapshotting(dir));
+    let recovered = reopen(&inline_dir);
+    assert_eq!(recovered.len(), 23);
+    assert_eq!(recovered, reopen(&background_dir));
+    let _ = std::fs::remove_dir_all(&inline_dir);
+    let _ = std::fs::remove_dir_all(&background_dir);
 }
 
 /// Pipelined group commit: `commit_pipelined` publishes the commit

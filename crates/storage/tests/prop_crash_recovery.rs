@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use interop_constraint::{Catalog, CmpOp, Formula};
 use interop_model::{ClassDef, ClassName, Database, Object, ObjectId, Schema, Type, Value};
-use interop_storage::wal::{scan_wal, segment_path, WalRecord};
+use interop_storage::wal::{list_segments, scan_wal, segment_path, WalRecord};
 use interop_storage::{
     replay, DurabilityMode, MvccStore, Optimizer, Store, Transaction, TxnRecord,
 };
@@ -207,7 +207,6 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 4..8),
     ) {
         let dir = scratch("prop-snap");
-        let wal_path = segment_path(&dir, 1);
         let mut durable = Store::open(
             Database::new(schema(), 1),
             Catalog::new(),
@@ -220,24 +219,30 @@ proptest! {
         let mut fresh = 0u64;
         let mut checkpoints: Vec<(u64, Vec<ObjDump>)> =
             vec![(0, dump(&oracle))];
-        let mut last_len = 0u64;
+        let mut active = 1u64;
         for op in &ops {
             let mut f2 = fresh;
             apply(op, &mut durable, &mut fresh);
             apply(op, &mut oracle, &mut f2);
-            let len = std::fs::metadata(&wal_path).expect("wal exists").len();
-            // A shrinking log means a snapshot fired inside this op:
-            // every earlier checkpoint described the pre-snapshot file
-            // and no longer applies — the snapshot itself now carries
-            // that state, so this op's dump becomes the new base (what
-            // a cut at offset 0 must recover).
-            if len < last_len {
+            let (seq, path) = list_segments(&dir)
+                .expect("list segments")
+                .pop()
+                .expect("an active segment");
+            // A new active segment means a snapshot fired inside this
+            // op: it sealed the segment every earlier checkpoint
+            // described, and the snapshot itself now carries that
+            // state, so this op's dump becomes the new base (what a cut
+            // at offset 0 must recover).
+            if seq != active {
                 checkpoints.clear();
+                active = seq;
             }
+            let len = std::fs::metadata(&path).expect("wal exists").len();
             checkpoints.push((len, dump(&oracle)));
-            last_len = len;
         }
         drop(durable);
+        // Cut the final active segment at every byte.
+        let wal_path = segment_path(&dir, active);
         let pristine = std::fs::read(&wal_path).expect("read wal");
 
         for cut in 0..=pristine.len() {

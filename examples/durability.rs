@@ -88,8 +88,9 @@ fn main() {
         &Value::real(7.49)
     );
 
-    // 5. Snapshot before a planned shutdown: the log is truncated and
-    //    the next open loads the snapshot with nothing to replay.
+    // 5. Snapshot before a planned shutdown: the snapshot seals the
+    //    log segment it covers and then deletes it, so the next open
+    //    loads the snapshot with nothing to replay.
     store.snapshot_now().expect("snapshot");
     drop(store);
     let store = Store::open(

@@ -17,6 +17,13 @@ promises actually visible in the source:
 3. **crate-docs** — every `crates/*/src/lib.rs` must open with crate
    docs (`//!` on line 1) and contain an `# Invariants` section: the
    contract each layer guarantees to the ones above.
+4. **log-shrink** — in `crates/storage/src` library code, `set_len(`
+   may appear only in `WalWriter::open` (recovery's torn-tail cut) and
+   `WalWriter::append_buffered` (restoring a failed append). The log
+   shrinks only by deleting whole sealed segments a durable snapshot
+   covers; a file cut anywhere else could discard acknowledged frames.
+   The enclosing function is the last `fn` seen inside the last
+   column-0 `impl` header, so the check stays line-based.
 
 Allowlist: `scripts/lint_allowlist.txt`. Each non-comment line is either
 
@@ -51,6 +58,11 @@ DETERMINISTIC_CRATES = {"merge", "conform"}
 PANIC_RE = re.compile(r"\.unwrap\(\)|\.expect\(\"")
 STD_HASH_RE = re.compile(r"std::collections::(HashMap|HashSet)|(?<!Fx)\bHash(Map|Set)\s*<")
 
+# The only (impl type, fn) pairs allowed to cut a file of the log.
+LOG_SHRINK_SITES = {("WalWriter", "open"), ("WalWriter", "append_buffered")}
+IMPL_RE = re.compile(r"^impl(?:<[^>]*>)?\s+(?:[\w:<>, ]+\s+for\s+)?(\w+)")
+FN_RE = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?(?:const\s+)?fn\s+(\w+)")
+
 
 def load_allowlist() -> tuple[set[str], list[tuple[str, str]]]:
     """Returns (whole-file exemptions, (path, substring) exemptions)."""
@@ -84,6 +96,7 @@ def iter_non_test_lines(path: Path):
     item (mod or fn) until it closes.
     """
     pending = False  # saw #[cfg(test)], waiting for the item's `{`
+    first = False  # no line of the item seen yet
     depth = 0  # >0 while inside the test item
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         code = strip_comment(line)
@@ -95,13 +108,15 @@ def iter_non_test_lines(path: Path):
                 depth = max(code.count("{") - code.count("}"), 0)
                 pending = False
                 continue
-            if code.strip().endswith(";"):  # e.g. `mod tests;`
-                pending = False
+            if code.strip().endswith(";") or (first and code.strip().endswith(",")):
+                pending = False  # e.g. `mod tests;`, or a one-line field
                 continue
-            # attribute stack (#[cfg(test)] #[derive(..)] ...): keep waiting
+            # attribute stack (#[cfg(test)] #[derive(..)] ...) or a
+            # multi-line signature: keep waiting
+            first = first and code.strip().startswith("#[")
             continue
         if "#[cfg(test)]" in code:
-            pending = True
+            pending = first = True
             continue
         yield lineno, line, code
 
@@ -135,6 +150,24 @@ def check_std_hash(violations: list[str]) -> None:
                     )
 
 
+def check_log_shrink(violations: list[str]) -> None:
+    for path in sorted((CRATES / "storage" / "src").glob("**/*.rs")):
+        rel = path.relative_to(ROOT).as_posix()
+        impl, func = None, None
+        for lineno, line, code in iter_non_test_lines(path):
+            if m := IMPL_RE.match(code):
+                impl, func = m.group(1), None
+            elif not code.startswith((" ", "\t")) and code.strip():
+                impl = None  # a column-0 item outside any impl block
+            if m := FN_RE.match(code):
+                func = m.group(1)
+            if "set_len(" in code and (impl, func) not in LOG_SHRINK_SITES:
+                violations.append(
+                    f"{rel}:{lineno}: `set_len(` outside WalWriter::open/append_buffered "
+                    f"(the log shrinks only by pruning sealed segments): {line.strip()}"
+                )
+
+
 def check_crate_docs(violations: list[str]) -> None:
     for path in sorted(CRATES.glob("*/src/lib.rs")):
         rel = path.relative_to(ROOT).as_posix()
@@ -153,6 +186,7 @@ def main() -> int:
     violations: list[str] = []
     check_panics(violations)
     check_std_hash(violations)
+    check_log_shrink(violations)
     check_crate_docs(violations)
     if violations:
         for v in violations:
