@@ -2,11 +2,13 @@
 //! path. Loads 10k objects into a volatile store (`DurabilityMode::Off`
 //! — the pre-durability baseline, byte-identical behaviour) and into a
 //! WAL-backed store, then prices recovery: reopening the 10k-object
-//! log, and reopening after `snapshot_now` (replay-free).
+//! log, and reopening after `snapshot_now` (replay-free). Last, the
+//! cost of one MVCC commit at 1k, 10k and 100k objects: a curve whose
+//! growth CI gates, so a commit that copies the store cannot hide.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use interop_constraint::Catalog;
-use interop_model::{ClassDef, ClassName, Database, Object, ObjectId, Schema, Type, Value};
+use interop_constraint::{Catalog, ClassConstraint, ConstraintId};
+use interop_model::{ClassDef, ClassName, Database, DbName, Object, ObjectId, Schema, Type, Value};
 use interop_storage::{DurabilityMode, MvccStore, Store};
 
 const N: usize = 10_000;
@@ -48,6 +50,34 @@ fn load(store: &mut Store) {
     for serial in 1..=N as u64 {
         store.insert(item(serial)).expect("in-schema insert");
     }
+}
+
+/// Store sizes of the commit-cost curve.
+const COMMIT_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+
+/// A volatile MVCC store over `n` items keyed on `k`, after one
+/// transaction that wrote every object — so the versions map holds an
+/// entry per object, as in a long-running store.
+fn commit_store(n: usize) -> MvccStore {
+    let db = DbName::new("Bench");
+    let mut catalog = Catalog::new();
+    catalog.add_class(ClassConstraint::key(
+        ConstraintId::new(&db, &ClassName::new("Item"), "k_key"),
+        "Item",
+        vec!["k"],
+    ));
+    let mut s = Store::new(Database::new(schema(), 1), catalog);
+    for serial in 1..=n as u64 {
+        s.insert(item(serial)).expect("in-schema insert");
+    }
+    let store = MvccStore::new(s);
+    let mut t = store.begin();
+    for serial in 1..=n as u64 {
+        t.update(ObjectId::new(1, serial), "v", Value::Int(0))
+            .expect("in-schema update");
+    }
+    t.commit().expect("single writer commits");
+    store
 }
 
 fn bench(c: &mut Criterion) {
@@ -186,6 +216,26 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(s.db().len())
         })
     });
+
+    // One single-update commit (`begin`, `update`, `commit`) on a seeded
+    // object, with durability off: what a commit costs on top of the
+    // log, as a function of the store's size.
+    for n in COMMIT_SIZES {
+        let store = commit_store(n);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        g.bench_with_input(BenchmarkId::new("commit_at_size", n), &n, |b, &n| {
+            b.iter(|| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let id = ObjectId::new(1, 1 + x % n as u64);
+                let mut t = store.begin();
+                t.update(id, "v", Value::Int((x % 1_000) as i64))
+                    .expect("in-schema update");
+                std::hint::black_box(t.commit().expect("single writer commits"))
+            })
+        });
+    }
 
     g.finish();
     for d in [dir, grouped_dir, wal_dir, snap_dir] {

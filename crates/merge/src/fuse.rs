@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use interop_conform::Conformed;
-use interop_model::{AttrName, ClassName, FxHashMap, Object, ObjectId, Value};
+use interop_model::{AttrMap, AttrName, ClassName, FxHashMap, Object, ObjectId, Value};
 use interop_spec::{Decision, Side};
 
 use crate::index::ConformedIndex;
@@ -45,7 +45,7 @@ pub struct GlobalObject {
     pub id: ObjectId,
     /// Global attribute valuation (decision functions applied; references
     /// remapped to global ids).
-    pub attrs: BTreeMap<AttrName, Value>,
+    pub attrs: AttrMap,
     /// The contributing local (conformed) object, if any.
     pub local: Option<ObjectId>,
     /// The contributing remote (conformed) object, if any.
@@ -279,7 +279,7 @@ impl<'a> Fuser<'a> {
         }
         // Start from remote values, overlay local (implicit `any` with a
         // deterministic local preference), then apply declared propeqs.
-        let mut attrs: BTreeMap<AttrName, Value> = overlay_attrs(lobj, robj);
+        let mut attrs: AttrMap = overlay_attrs(lobj, robj);
         let mut fused: BTreeMap<AttrName, (Value, Value, Decision)> = BTreeMap::new();
         if let (Some(l), Some(r)) = (lobj, robj) {
             let applicable = self
@@ -381,14 +381,20 @@ impl<'a> Fuser<'a> {
 }
 
 /// The implicit-`any` valuation of a (possibly one-sided) merged pair:
-/// remote values, overlaid by non-null local values. Singletons clone
-/// their side's map wholesale; merged pairs are built as one merge walk
+/// remote values, overlaid by non-null local values. Singletons copy
+/// their side's map as it stands; merged pairs are built as one merge walk
 /// over the two sorted attribute maps so the result map is bulk-built
 /// from sorted pairs instead of mutated entry by entry.
-fn overlay_attrs(lobj: Option<&Object>, robj: Option<&Object>) -> BTreeMap<AttrName, Value> {
+fn overlay_attrs(lobj: Option<&Object>, robj: Option<&Object>) -> AttrMap {
     let (l, r) = match (lobj, robj) {
-        (None, None) => return BTreeMap::new(),
-        (None, Some(r)) => return r.attrs.clone(),
+        (None, None) => return AttrMap::new(),
+        (None, Some(r)) => {
+            return r
+                .attrs
+                .iter()
+                .map(|(a, v)| (a.clone(), v.clone()))
+                .collect()
+        }
         (Some(l), None) => {
             // Local-side nulls are dropped (they must not shadow remote
             // values on merged objects, and singletons behave alike).
@@ -400,7 +406,11 @@ fn overlay_attrs(lobj: Option<&Object>, robj: Option<&Object>) -> BTreeMap<AttrN
                     .map(|(a, v)| (a.clone(), v.clone()))
                     .collect();
             }
-            return l.attrs.clone();
+            return l
+                .attrs
+                .iter()
+                .map(|(a, v)| (a.clone(), v.clone()))
+                .collect();
         }
         (Some(l), Some(r)) => (l, r),
     };

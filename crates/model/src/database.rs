@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::error::ModelError;
 use crate::ident::{AttrName, ClassName, DbName};
 use crate::object::{Object, ObjectId};
+use crate::pmap::PMap;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
@@ -18,20 +19,25 @@ pub type Extent = Vec<ObjectId>;
 /// Extents are *direct*: `extent(C)` holds only objects whose most-specific
 /// class is `C`. Use [`Database::extension`] for the TM semantics where a
 /// class's extension includes all subclass instances.
-/// Cloning a `Database` is cheap by design: the schema and every
-/// object are behind `Arc`s, so a clone shares structure with the
-/// original and copies an object only when a mutation touches it
-/// (copy-on-write via `Arc::make_mut`). The MVCC layer publishes a
-/// clone of its store as the read snapshot on every commit, so this
-/// is a write-path cost, not a convenience.
+///
+/// Cloning a `Database` is O(1) in its object count. The objects live in
+/// a [`PMap`], a persistent B-tree whose clone shares every node, and
+/// each object, each class extent and the schema sit behind `Arc`s. A
+/// write to either copy then copies only what it touches: the
+/// O(log n) tree nodes on the object's path and the object itself
+/// (`Arc::make_mut`), plus, for an insert or a removal, the one extent
+/// it changes, which keeps its insertion order. The two copies stay
+/// independent values. The MVCC layer takes such a clone for every
+/// transaction's overlay and every published snapshot, so this is a
+/// write-path cost, not a convenience.
 #[derive(Clone, Debug)]
 pub struct Database {
     /// The schema this database instantiates (shared, copy-on-write).
     pub schema: Arc<Schema>,
     space: u32,
     next_serial: u64,
-    objects: BTreeMap<ObjectId, Arc<Object>>,
-    extents: BTreeMap<ClassName, Extent>,
+    objects: PMap<ObjectId, Arc<Object>>,
+    extents: BTreeMap<ClassName, Arc<Extent>>,
 }
 
 impl Database {
@@ -41,13 +47,13 @@ impl Database {
     pub fn new(schema: Schema, space: u32) -> Self {
         let extents = schema
             .class_names()
-            .map(|c| (c.clone(), Vec::new()))
+            .map(|c| (c.clone(), Arc::default()))
             .collect();
         Database {
             schema: Arc::new(schema),
             space,
             next_serial: 0,
-            objects: BTreeMap::new(),
+            objects: PMap::new(),
             extents,
         }
     }
@@ -90,15 +96,20 @@ impl Database {
     /// Inserts a fully-formed object, type-checking it against the schema.
     pub fn insert(&mut self, obj: Object) -> Result<()> {
         self.typecheck(&obj)?;
-        if self.objects.contains_key(&obj.id) {
-            return Err(ModelError::DuplicateObject(obj.id));
+        let (id, class) = (obj.id, obj.class.clone());
+        if let Some(prev) = self.objects.insert(id, Arc::new(obj)) {
+            // One walk on the common path; a duplicate puts the
+            // original back and is refused.
+            self.objects.insert(id, prev);
+            return Err(ModelError::DuplicateObject(id));
         }
-        self.extents
-            .get_mut(&obj.class)
-            .expect("validated class has extent")
-            .push(obj.id);
-        self.next_serial = self.next_serial.max(obj.id.serial() + 1);
-        self.objects.insert(obj.id, Arc::new(obj));
+        Arc::make_mut(
+            self.extents
+                .get_mut(&class)
+                .expect("validated class has extent"),
+        )
+        .push(id);
+        self.next_serial = self.next_serial.max(id.serial() + 1);
         Ok(())
     }
 
@@ -136,7 +147,9 @@ impl Database {
             .remove(&id)
             .ok_or(ModelError::UnknownObject(id))?;
         if let Some(ext) = self.extents.get_mut(&obj.class) {
-            ext.retain(|&o| o != id);
+            if let Some(pos) = ext.iter().position(|&o| o == id) {
+                Arc::make_mut(ext).remove(pos);
+            }
         }
         Ok(Arc::try_unwrap(obj).unwrap_or_else(|shared| (*shared).clone()))
     }

@@ -38,6 +38,15 @@
 //! * **Typechecking is schema-driven**: a [`Database`] rejects objects
 //!   whose attribute valuations do not fit the declared types, so code
 //!   holding a populated database may assume well-typed values.
+//! * **[`PMap`] iterates like `BTreeMap`**: entries come back in key
+//!   order and `Debug` prints the same `{k: v, ...}` text, so a
+//!   database's object order and every output derived from it are those
+//!   of the `BTreeMap` it replaced. [`AttrMap`] keeps the same promise
+//!   for an object's attributes.
+//! * **A clone is an independent value**: cloning a [`PMap`] (and so a
+//!   [`Database`]) is O(1) because the copies share nodes behind `Arc`,
+//!   but a write to either copy first copies the nodes it touches
+//!   (`Arc::make_mut`), so no write is ever visible through the other.
 //!
 //! # Example
 //!
@@ -68,6 +77,7 @@ pub mod error;
 pub mod fx;
 pub mod ident;
 pub mod object;
+pub mod pmap;
 pub mod schema;
 pub mod types;
 pub mod value;
@@ -77,7 +87,8 @@ pub use database::{Database, Extent};
 pub use error::ModelError;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ident::{AttrName, ClassName, DbName};
-pub use object::{Object, ObjectId};
+pub use object::{AttrMap, Object, ObjectId};
+pub use pmap::PMap;
 pub use schema::{AttrDef, ClassDef, Schema};
 pub use types::Type;
 pub use value::{Value, R64};

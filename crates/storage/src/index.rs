@@ -14,26 +14,28 @@
 //! free — the batch intersection in `optimize` relies on it, and the
 //! delta operations preserve it by binary-searched insertion.
 
-use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use interop_model::fx::FxHashMap;
-use interop_model::{AttrName, ClassName, Object, ObjectId, Value, R64};
+use interop_model::{AttrName, ClassName, Object, ObjectId, PMap, Value, R64};
 
 /// A unique index over the key attributes of one class (covering its
-/// whole extension, i.e. including subclass instances).
+/// whole extension, i.e. including subclass instances). The entries
+/// live in a persistent [`PMap`], so cloning the index is O(1) and a
+/// write to a clone copies only the O(log n) nodes on its key's path.
 #[derive(Clone, Debug, Default)]
 pub struct KeyIndex {
-    attrs: Vec<AttrName>,
-    map: BTreeMap<Vec<Value>, ObjectId>,
+    attrs: Arc<[AttrName]>,
+    map: PMap<Vec<Value>, ObjectId>,
 }
 
 impl KeyIndex {
     /// Creates an empty index over the given key attributes.
     pub fn new(attrs: Vec<AttrName>) -> Self {
         KeyIndex {
-            attrs,
-            map: BTreeMap::new(),
+            attrs: attrs.into(),
+            map: PMap::new(),
         }
     }
 
@@ -93,8 +95,9 @@ impl KeyIndex {
     }
 }
 
-/// The set of key indexes of a store, keyed by class name.
-pub type IndexSet = BTreeMap<ClassName, KeyIndex>;
+/// The set of key indexes of a store, keyed by class name (persistent,
+/// like each index, so a store's clone shares them all).
+pub type IndexSet = PMap<ClassName, KeyIndex>;
 
 /// Canonicalises a value for equality-posting lookups: numerics collapse
 /// to `Real` so `Int(3)` and `Real(3.0)` share a posting list (matching

@@ -93,12 +93,18 @@
 //!   Copying a store goes through [`Store::detached_clone`], whose
 //!   name states the contract — the copy has [`store::DurabilityMode::Off`]
 //!   and shares no WAL handle — so no call site silently "persists"
-//!   into a copy whose log no longer exists.
+//!   into a copy whose log no longer exists. The copy is O(1) in the
+//!   number of objects and constraints: the objects and the key
+//!   indexes are persistent maps ([`interop_model::PMap`]) and the
+//!   catalog is shared, so both stores share that state and each write
+//!   copies only the O(log n) path it touches.
 //! * **Readers never block writers** ([`mvcc`]): a transaction reads
-//!   an immutable published `Arc` snapshot; each commit publishes a
-//!   fresh detached clone of the canonical store as a new `Arc`. No
-//!   reader holds any lock while a commit runs, and an in-flight
-//!   reader's view never changes.
+//!   an immutable published `Arc` snapshot; each commit publishes an
+//!   O(1) detached clone of the canonical store, with its versions map,
+//!   by swapping in a new `Arc`. No reader holds any lock while a
+//!   commit runs, and an in-flight reader's view never changes: the
+//!   canonical store's next write copies the nodes it shares with the
+//!   snapshot instead of writing through them.
 //! * **First committer wins** ([`mvcc`]): of two overlapping write
 //!   sets, the second commit fails with
 //!   [`mvcc::CommitError::WriteConflict`]; under the default

@@ -6,8 +6,9 @@
 //! an `Arc<Store>` that is never mutated after publication — so
 //! readers never block writers and never observe a partial commit.
 //! Writes buffer in a transaction-local overlay (a detached copy of
-//! the snapshot, so own writes are visible to the session's reads and
-//! planned queries, and constraints reject doomed operations early)
+//! the snapshot — O(1), since the objects and key indexes are
+//! persistent maps — so own writes are visible to the session's reads
+//! and planned queries, and constraints reject doomed operations early)
 //! and reach the shared state only at [`MvccTxn::commit`]:
 //!
 //! 1. **First-committer-wins**: if any object in the transaction's
@@ -30,7 +31,10 @@
 //! 4. The commit timestamp is stamped on every written item, a fresh
 //!    detached clone of the canonical store is published as the read
 //!    snapshot, and (when history recording is on) a [`TxnRecord`] is
-//!    appended for the oracle.
+//!    appended for the oracle. The clone and the versions map share
+//!    their nodes with the canonical store, so publishing costs O(1)
+//!    and the commit as a whole O(ops · log n), whatever the store's
+//!    size.
 //!
 //! Commit-time work runs under one commit mutex; everything before it
 //! — reads, planned queries, constraint checks, conflict-free
@@ -68,7 +72,9 @@
 //! (sealing the active WAL segment) and hands the job with the already
 //! published `Arc` snapshot of the same commit point to the worker,
 //! which writes the snapshot file and then prunes the sealed segments
-//! it made redundant — writers never stall on the dump.
+//! it made redundant — writers never stall on the dump. A worker that
+//! falls behind runs only the newest queued job: it covers everything
+//! the older ones would have.
 //! [`MvccStore::flush_snapshots`] waits for the worker to go idle;
 //! dropping the last handle drains it.
 //!
@@ -119,8 +125,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
-use interop_model::fx::FxHashMap;
-use interop_model::{AttrName, ClassName, Object, ObjectId, Value};
+use interop_model::{AttrName, ClassName, Object, ObjectId, PMap, Value};
 
 use crate::optimize::Optimizer;
 use crate::oracle::{Item, QueryRecord, TxnRecord};
@@ -293,8 +298,10 @@ struct Committed {
     /// timestamp order. Readers see detached clones of it
     /// ([`Published::snapshot`]), never the durability-owning store.
     store: Store,
-    /// Item → commit timestamp of its latest committed write.
-    versions: Arc<FxHashMap<Item, u64>>,
+    /// Item → commit timestamp of its latest committed write. A
+    /// persistent map: publishing clones it in O(1), and a commit
+    /// copies only the paths of the items it stamps.
+    versions: PMap<Item, u64>,
     /// The latest commit timestamp.
     ts: u64,
     /// When `Some`, every commit (read-only included) appends its
@@ -305,12 +312,12 @@ struct Committed {
 /// The read-side publication: swapped atomically (under a brief write
 /// lock, while the commit mutex is held) after each commit;
 /// [`MvccStore::begin`] takes the read lock only long enough to clone
-/// two `Arc`s.
+/// an `Arc` and the root of the versions map.
 struct Published {
     ts: u64,
     /// A volatile detached clone of the canonical store as of `ts`.
     snapshot: Arc<Store>,
-    versions: Arc<FxHashMap<Item, u64>>,
+    versions: PMap<Item, u64>,
 }
 
 struct Inner {
@@ -333,8 +340,8 @@ struct Inner {
 
 /// Handle to the background snapshot worker thread. Dropping it drops
 /// the job sender (the worker drains queued jobs and exits) and joins
-/// the thread — so every submitted snapshot is written or its failure
-/// recorded before the handle is gone.
+/// the thread — so every submitted snapshot is written, skipped for a
+/// newer one, or has its failure recorded before the handle is gone.
 struct SnapshotWorker {
     tx: Option<Sender<(SnapshotJob, Arc<Store>)>>,
     handle: Option<JoinHandle<()>>,
@@ -353,8 +360,8 @@ impl SnapshotProgress {
         lock(&self.counts).0 += 1;
     }
 
-    fn completed(&self) {
-        lock(&self.counts).1 += 1;
+    fn completed(&self, jobs: u64) {
+        lock(&self.counts).1 += jobs;
         self.cv.notify_all();
     }
 
@@ -395,7 +402,7 @@ impl SnapshotWorker {
             if tx.send((job, snap)).is_err() {
                 // Worker already gone (it panicked); balance the
                 // counter so waiters do not hang.
-                self.progress.completed();
+                self.progress.completed(1);
             }
         }
     }
@@ -410,16 +417,35 @@ impl Drop for SnapshotWorker {
     }
 }
 
-/// The worker loop: run each job as it arrives.
+/// The worker loop: after each wake-up, run only the newest queued
+/// job. An older job is redundant once a newer one is queued: the newer
+/// capture's `prunable` lists every sealed, unpruned segment the older
+/// one listed, and its objects and touched state are newer. A skipped
+/// job is neither written nor a failure; dropping it releases the
+/// published version it pinned. It counts as completed, so
+/// [`MvccStore::flush_snapshots`] still balances.
 fn snapshot_worker(
     rx: Receiver<(SnapshotJob, Arc<Store>)>,
     committed: Arc<Mutex<Committed>>,
     progress: Arc<SnapshotProgress>,
 ) {
-    while let Ok((job, snap)) = rx.recv() {
+    while let Ok(first) = rx.recv() {
+        let ((job, snap), skipped) = newest_queued(first, &rx);
         run_snapshot_job(&committed, &job, snap);
-        progress.completed();
+        progress.completed(skipped + 1);
     }
+}
+
+/// Drains every item already queued behind `first` without blocking;
+/// returns the newest together with how many older ones it skipped.
+fn newest_queued<T>(first: T, rx: &Receiver<T>) -> (T, u64) {
+    let mut newest = first;
+    let mut skipped = 0;
+    while let Ok(next) = rx.try_recv() {
+        newest = next;
+        skipped += 1;
+    }
+    (newest, skipped)
 }
 
 /// Runs a captured cadence snapshot job off the commit mutex: dumps
@@ -475,12 +501,12 @@ impl MvccStore {
             .map(|o| o.id.serial())
             .max()
             .map_or(0, |m| m + 1);
-        let snapshot = Arc::new(published_clone(&store));
-        let versions: Arc<FxHashMap<Item, u64>> = Arc::new(FxHashMap::default());
+        let snapshot = Arc::new(store.published_clone());
+        let versions = PMap::new();
         let wants_worker = store.durability_mode() == DurabilityMode::WalWithSnapshots;
         let committed = Arc::new(Mutex::new(Committed {
             store,
-            versions: Arc::clone(&versions),
+            versions: versions.clone(),
             ts: 0,
             history: None,
         }));
@@ -524,7 +550,7 @@ impl MvccStore {
             store: self.clone(),
             begin_ts: p.ts,
             snapshot: Arc::clone(&p.snapshot),
-            versions: Arc::clone(&p.versions),
+            versions: p.versions.clone(),
             local: None,
             ops: Vec::new(),
             write_objs: BTreeSet::new(),
@@ -717,7 +743,7 @@ pub struct MvccTxn {
     /// The published snapshot this transaction reads.
     snapshot: Arc<Store>,
     /// Item versions as of `begin_ts` (what reads observe).
-    versions: Arc<FxHashMap<Item, u64>>,
+    versions: PMap<Item, u64>,
     /// Lazily created overlay: snapshot + own writes, so reads and
     /// planned queries see the transaction's own effects and doomed
     /// operations are rejected by real constraint checks immediately.
@@ -990,22 +1016,21 @@ impl MvccTxn {
         c.ts += 1;
         let ts = c.ts;
         let mut writes = Vec::with_capacity(write_objs.len() + write_classes.len());
-        {
-            let versions = Arc::make_mut(&mut c.versions);
-            for &id in &write_objs {
-                versions.insert(Item::Obj(id), ts);
-                writes.push(Item::Obj(id));
-            }
-            for cl in &write_classes {
-                versions.insert(Item::Class(cl.clone()), ts);
-                writes.push(Item::Class(cl.clone()));
-            }
+        for &id in &write_objs {
+            c.versions.insert(Item::Obj(id), ts);
+            writes.push(Item::Obj(id));
         }
-        // Publish a fresh snapshot of the canonical store. Cloning is
-        // cheap by construction — the database shares its schema and
-        // objects behind `Arc`s — so re-cloning every commit beats
-        // keeping a second store in step by re-applying the ops.
-        let snapshot = Arc::new(published_clone(&c.store));
+        for cl in &write_classes {
+            c.versions.insert(Item::Class(cl.clone()), ts);
+            writes.push(Item::Class(cl.clone()));
+        }
+        // Publish a fresh snapshot of the canonical store. The clone is
+        // O(1): the database, its key indexes and the versions map are
+        // persistent maps that share every node with the canonical
+        // store, whose next commit copies only the paths it writes. So
+        // re-cloning every commit beats keeping a second store in step
+        // by re-applying the ops, and publishing is an `Arc` swap.
+        let snapshot = Arc::new(c.store.published_clone());
         if let Some(h) = &mut c.history {
             h.push(TxnRecord {
                 txn: h.len(),
@@ -1028,7 +1053,7 @@ impl MvccTxn {
         let published = Published {
             ts,
             snapshot,
-            versions: Arc::clone(&c.versions),
+            versions: c.versions.clone(),
         };
         // Publish while still holding the commit mutex, so snapshots
         // become visible in commit order.
@@ -1045,16 +1070,6 @@ impl MvccTxn {
         }
         Ok(CommitTicket { ts, ack })
     }
-}
-
-/// The read snapshot of `store`: a detached clone whose private
-/// touched log is off, so it never grows when the canonical store
-/// tracks ids — the snapshot never feeds the incremental pipeline
-/// directly.
-fn published_clone(store: &Store) -> Store {
-    let mut snap = store.detached_clone();
-    snap.track_touched(false);
-    snap
 }
 
 /// The durability IOU from [`MvccTxn::commit_pipelined`]: the commit is
@@ -1108,6 +1123,17 @@ mod tests {
     use super::*;
     use interop_constraint::Catalog;
     use interop_model::{ClassDef, Database, Schema, Type};
+
+    #[test]
+    fn the_worker_runs_only_the_newest_queued_job() {
+        let (tx, rx) = mpsc::channel();
+        for job in 1..=3 {
+            tx.send(job).unwrap();
+        }
+        let first = rx.recv().unwrap();
+        assert_eq!(newest_queued(first, &rx), (3, 2));
+        assert!(rx.try_recv().is_err(), "the queue is drained");
+    }
 
     #[cfg(target_os = "linux")]
     #[test]

@@ -5,6 +5,12 @@
 //! (classes ascending by name, objects ascending by id within each
 //! class), closed by a trailing CRC-32 over everything before it.
 //!
+//! The current format, `IOSNAP02`, is `magic`, the transaction
+//! `watermark` (u64), the first WAL segment the snapshot does **not**
+//! cover (u64), the tracking flag (u8), the undrained touched ids and
+//! the object dump. `IOSNAP01` files, which lack the segment field,
+//! still load (see [`SnapshotData::first_uncovered_segment`]).
+//!
 //! # Atomicity and durability
 //!
 //! Snapshots are written to a `.tmp` sibling, `sync_all`ed, and only
@@ -16,8 +22,10 @@
 //! durable, which is why callers may then prune older snapshots and the
 //! sealed WAL segments the snapshot covers. A crash *between* the
 //! snapshot and that pruning is benign because the snapshot records the
-//! transaction watermark and replay skips WAL transactions at or below
-//! it.
+//! transaction watermark, so replay skips WAL transactions at or below
+//! it, and the first segment it does not cover, so replay skips the
+//! touched-log markers of the covered segments too (the snapshot's
+//! touched state already reflects them).
 //!
 //! # What a snapshot captures
 //!
@@ -35,7 +43,13 @@ use interop_model::{Object, ObjectId};
 use crate::wal::{crc32, fsync_dir, put_id, put_object, put_u32, put_u64, Cursor, DurabilityError};
 
 /// Snapshot format magic + version. Bump on any layout change.
-const MAGIC: &[u8; 8] = b"IOSNAP01";
+const MAGIC: &[u8; 8] = b"IOSNAP02";
+
+/// The previous format: no `first_uncovered_segment` field. Still read,
+/// because a directory written in that format has already pruned the
+/// segments its snapshot covers — rejecting it would lose acknowledged
+/// commits.
+const MAGIC_V1: &[u8; 8] = b"IOSNAP01";
 
 /// File-name prefix/suffix for live snapshots.
 const PREFIX: &str = "snapshot-";
@@ -47,6 +61,13 @@ pub struct SnapshotData {
     /// Transaction sequence watermark: WAL transactions with
     /// `seq <= watermark` are already reflected in `objects`.
     pub watermark: u64,
+    /// The first WAL segment the snapshot does not cover: the active
+    /// segment right after the capture sealed the log. Touched-log
+    /// markers in lower segments predate the capture and are already
+    /// reflected in `tracking` and `touched`, so replay skips them. `0`
+    /// for an `IOSNAP01` file, which predates the field: replay then
+    /// skips no marker, as that format always did.
+    pub first_uncovered_segment: u64,
     /// Whether touched-id tracking was on at snapshot time.
     pub tracking: bool,
     /// Undrained touched ids at snapshot time (the incremental
@@ -67,12 +88,19 @@ fn io_err(path: &Path, e: std::io::Error) -> DurabilityError {
 
 /// Serializes a snapshot. `objects` may arrive in any order; the dump
 /// is canonicalised to per-class sorted order here.
-fn encode(watermark: u64, tracking: bool, touched: &[ObjectId], objects: &[&Object]) -> Vec<u8> {
+fn encode(
+    watermark: u64,
+    first_uncovered_segment: u64,
+    tracking: bool,
+    touched: &[ObjectId],
+    objects: &[&Object],
+) -> Vec<u8> {
     let mut sorted: Vec<&Object> = objects.to_vec();
     sorted.sort_by(|a, b| (&a.class, a.id).cmp(&(&b.class, b.id)));
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     put_u64(&mut out, watermark);
+    put_u64(&mut out, first_uncovered_segment);
     out.push(u8::from(tracking));
     put_u32(&mut out, touched.len() as u32);
     for &id in touched {
@@ -97,12 +125,15 @@ fn decode(bytes: &[u8], path: &Path) -> Result<SnapshotData, DurabilityError> {
     if crc32(body) != stored {
         return Err(corrupt("checksum mismatch"));
     }
-    if &body[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("bad magic / unsupported version"));
-    }
+    let v1 = match &body[..MAGIC.len()] {
+        m if m == MAGIC => false,
+        m if m == MAGIC_V1 => true,
+        _ => return Err(corrupt("bad magic / unsupported version")),
+    };
     let mut c = Cursor::new(&body[MAGIC.len()..]);
     let mut parse = || -> Option<SnapshotData> {
         let watermark = c.u64()?;
+        let first_uncovered_segment = if v1 { 0 } else { c.u64()? };
         let tracking = c.u8()? != 0;
         let n_touched = c.u32()?;
         // Clamp the pre-allocation: the count is untrusted input, and a
@@ -122,6 +153,7 @@ fn decode(bytes: &[u8], path: &Path) -> Result<SnapshotData, DurabilityError> {
         }
         Some(SnapshotData {
             watermark,
+            first_uncovered_segment,
             tracking,
             touched,
             objects,
@@ -135,15 +167,23 @@ fn decode(bytes: &[u8], path: &Path) -> Result<SnapshotData, DurabilityError> {
 /// Returns the live path — and returns at all only once the new
 /// snapshot is durable, so callers may safely discard what it replaces
 /// (older snapshots here, the covered WAL segments in
-/// [`crate::Store::snapshot_now`]).
+/// [`crate::Store::snapshot_now`]). The other arguments are the
+/// [`SnapshotData`] fields of the same names.
 pub fn write_snapshot(
     dir: &Path,
     watermark: u64,
+    first_uncovered_segment: u64,
     tracking: bool,
     touched: &[ObjectId],
     objects: &[&Object],
 ) -> Result<PathBuf, DurabilityError> {
-    let bytes = encode(watermark, tracking, touched, objects);
+    let bytes = encode(
+        watermark,
+        first_uncovered_segment,
+        tracking,
+        touched,
+        objects,
+    );
     let live = snapshot_path(dir, watermark);
     let tmp = live.with_extension("snap.tmp");
     let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
@@ -230,9 +270,10 @@ mod tests {
         let objs = objects();
         let refs: Vec<&Object> = objs.iter().collect();
         let touched = vec![ObjectId::new(1, 1)];
-        write_snapshot(&dir, 5, true, &touched, &refs).unwrap();
+        write_snapshot(&dir, 5, 6, true, &touched, &refs).unwrap();
         let data = load_latest(&dir).unwrap().unwrap();
         assert_eq!(data.watermark, 5);
+        assert_eq!(data.first_uncovered_segment, 6);
         assert!(data.tracking);
         assert_eq!(data.touched, touched);
         // Per-class sorted: A:0, then B:1, B:2.
@@ -256,8 +297,8 @@ mod tests {
         let dir = tmp_dir("newest");
         let objs = objects();
         let refs: Vec<&Object> = objs.iter().collect();
-        write_snapshot(&dir, 1, false, &[], &refs[..1]).unwrap();
-        write_snapshot(&dir, 9, false, &[], &refs).unwrap();
+        write_snapshot(&dir, 1, 2, false, &[], &refs[..1]).unwrap();
+        write_snapshot(&dir, 9, 10, false, &[], &refs).unwrap();
         let data = load_latest(&dir).unwrap().unwrap();
         assert_eq!(data.watermark, 9);
         assert_eq!(data.objects.len(), 3);
@@ -269,15 +310,37 @@ mod tests {
         let dir = tmp_dir("fallback");
         let objs = objects();
         let refs: Vec<&Object> = objs.iter().collect();
-        write_snapshot(&dir, 3, false, &[], &refs[..2]).unwrap();
+        write_snapshot(&dir, 3, 4, false, &[], &refs[..2]).unwrap();
         // Hand-write a newer, damaged snapshot (bad CRC).
         let newer = snapshot_path(&dir, 8);
-        let mut bytes = encode(8, false, &[], &refs);
+        let mut bytes = encode(8, 9, false, &[], &refs);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&newer, &bytes).unwrap();
         let data = load_latest(&dir).unwrap().unwrap();
         assert_eq!(data.watermark, 3, "fell back past the damaged file");
+    }
+
+    #[test]
+    fn iosnap01_files_still_load() {
+        let dir = tmp_dir("v1");
+        let objs = objects();
+        let refs: Vec<&Object> = objs.iter().collect();
+        // The IOSNAP01 layout: the IOSNAP02 one without the segment
+        // field, under the old magic, with its own checksum.
+        let v2 = encode(4, 5, true, &[ObjectId::new(1, 2)], &refs);
+        let mut v1 = MAGIC_V1.to_vec();
+        v1.extend_from_slice(&v2[MAGIC.len()..MAGIC.len() + 8]);
+        v1.extend_from_slice(&v2[MAGIC.len() + 16..v2.len() - 4]);
+        let crc = crc32(&v1);
+        put_u32(&mut v1, crc);
+        std::fs::write(snapshot_path(&dir, 4), &v1).unwrap();
+        let data = load_latest(&dir).unwrap().unwrap();
+        assert_eq!(data.watermark, 4);
+        assert_eq!(data.first_uncovered_segment, 0, "no marker is skipped");
+        assert!(data.tracking);
+        assert_eq!(data.touched, vec![ObjectId::new(1, 2)]);
+        assert_eq!(data.objects.len(), 3);
     }
 
     #[test]

@@ -193,6 +193,9 @@ pub(crate) struct SnapshotJob {
     dir: PathBuf,
     /// The last committed transaction the snapshot covers.
     watermark: u64,
+    /// The active segment right after the capture's seal: the first
+    /// one the snapshot does not cover.
+    first_uncovered_segment: u64,
     /// Touched-id tracking state at capture.
     tracking: bool,
     /// Undrained touched ids at capture.
@@ -212,6 +215,7 @@ impl SnapshotJob {
         snapshot::write_snapshot(
             &self.dir,
             self.watermark,
+            self.first_uncovered_segment,
             self.tracking,
             &self.touched,
             &objects,
@@ -385,7 +389,8 @@ fn lock_mut<T>(m: &mut Mutex<T>) -> &mut T {
 #[derive(Debug)]
 pub struct Store {
     db: Database,
-    catalog: Catalog,
+    /// Shared with every detached clone: a store never mutates it.
+    catalog: Arc<Catalog>,
     indexes: IndexSet,
     /// Bumped on every mutation attempt that may have touched state;
     /// secondary indexes are valid only for the version they were
@@ -433,17 +438,36 @@ impl Store {
     /// for the removed `Clone` impl, so call sites visibly opt in to
     /// losing durability (e.g. scratch oracles, MVCC snapshots,
     /// benchmark per-iteration copies).
+    ///
+    /// The copy costs O(1) in the number of objects and constraints:
+    /// the database and the key indexes are persistent maps and the
+    /// catalog is shared, so the clone shares all of them and a later
+    /// write to either store copies only the paths it touches. What is
+    /// copied is bounded by the workload, not the data: the cached
+    /// secondary structures (each behind an `Arc`), the composite
+    /// admission state and the touched-id log.
     pub fn detached_clone(&self) -> Store {
         Store {
+            touched_log: self.touched_log.clone(),
+            ..self.published_clone()
+        }
+    }
+
+    /// The MVCC read snapshot of this store: [`Store::detached_clone`]
+    /// with touched-id tracking off, so publishing never copies the
+    /// canonical store's touched log and the snapshot never feeds the
+    /// incremental pipeline directly.
+    pub(crate) fn published_clone(&self) -> Store {
+        Store {
             db: self.db.clone(),
-            catalog: self.catalog.clone(),
+            catalog: Arc::clone(&self.catalog),
             indexes: self.indexes.clone(),
             version: self.version,
             maintenance: self.maintenance,
             secondary: Mutex::new(lock(&self.secondary).clone()),
             composite_policy: self.composite_policy,
             composites: Mutex::new(lock(&self.composites).clone()),
-            touched_log: self.touched_log.clone(),
+            touched_log: None,
             durability: None,
         }
     }
@@ -458,9 +482,19 @@ impl Store {
                 indexes.insert(cc.class.clone(), KeyIndex::new(attrs.clone()));
             }
         }
-        let mut store = Store {
+        // Index existing objects (a collision keeps the first holder).
+        if !indexes.is_empty() {
+            for obj in db.objects() {
+                let ancestors = db.schema.self_and_ancestors(&obj.class);
+                let class = ancestors.iter().find(|c| indexes.contains_key(*c));
+                if let Some(idx) = class.and_then(|c| indexes.get_mut(c)) {
+                    let _ = idx.insert(obj);
+                }
+            }
+        }
+        Store {
             db,
-            catalog,
+            catalog: Arc::new(catalog),
             indexes,
             version: 0,
             maintenance: IndexMaintenance::default(),
@@ -469,14 +503,7 @@ impl Store {
             composites: Mutex::new(CompositeAdmission::default()),
             touched_log: None,
             durability: None,
-        };
-        // Index existing objects.
-        let ids: Vec<ObjectId> = store.db.objects().map(|o| o.id).collect();
-        for id in ids {
-            let obj = store.db.object(id).expect("listed").clone();
-            store.index_insert(&obj).ok();
         }
-        store
     }
 
     /// Opens a durable store rooted at `dir`, recovering any state a
@@ -512,10 +539,12 @@ impl Store {
             .map_err(|e| DurabilityError::Io(format!("{}: {e}", dir.display())))?;
 
         let mut watermark = 0u64;
+        let mut first_uncovered_segment = 0u64;
         let mut tracking = false;
         let mut touched: Vec<ObjectId> = Vec::new();
         if let Some(snap) = snapshot::load_latest(&dir)? {
             watermark = snap.watermark;
+            first_uncovered_segment = snap.first_uncovered_segment;
             tracking = snap.tracking;
             touched = snap.touched;
             for obj in snap.objects {
@@ -537,6 +566,12 @@ impl Store {
             let records = std::mem::take(&mut seg.scan.records);
             let frame_ends = std::mem::take(&mut seg.scan.frame_ends);
             let torn = seg.scan.valid_len < seg.scan.file_len;
+            // A segment the snapshot covers survives it only when a
+            // crash came between the snapshot and its prune. Its
+            // transactions are skipped by the watermark, and its
+            // touched-log markers by this flag: the snapshot's touched
+            // state already reflects them.
+            let covered = seg.seq < first_uncovered_segment;
             let mut seg_boundary = 0u64;
             for (i, rec) in records.into_iter().enumerate() {
                 match rec {
@@ -554,11 +589,12 @@ impl Store {
                         }
                     }
                     WalRecord::Rollback => open_txn = None,
-                    WalRecord::TouchedDrain => touched.clear(),
-                    WalRecord::TrackTouched { on } => {
+                    WalRecord::TouchedDrain if !covered => touched.clear(),
+                    WalRecord::TrackTouched { on } if !covered => {
                         tracking = on;
                         touched.clear();
                     }
+                    WalRecord::TouchedDrain | WalRecord::TrackTouched { .. } => {}
                     delta => {
                         if let Some((_, deltas)) = &mut open_txn {
                             deltas.push(delta);
@@ -713,6 +749,7 @@ impl Store {
         Ok(Some(SnapshotJob {
             dir: d.dir.clone(),
             watermark: d.txn_seq,
+            first_uncovered_segment: d.wal.active_seq(),
             tracking: self.touched_log.is_some(),
             touched: self.touched_log.clone().unwrap_or_default(),
             prunable: d.wal.prunable(d.txn_seq),
@@ -950,13 +987,13 @@ impl Store {
     /// Key lookup via the index (used by the query fast path).
     pub fn lookup_key(&self, class: &ClassName, key: &[Value]) -> Option<ObjectId> {
         let c = self.index_class_for(class)?;
-        self.indexes[&c].get(key)
+        self.indexes.get(&c)?.get(key)
     }
 
     /// The key attributes indexed for `class`, if any.
     pub fn key_attrs(&self, class: &ClassName) -> Option<&[AttrName]> {
         let c = self.index_class_for(class)?;
-        Some(self.indexes[&c].attrs())
+        Some(self.indexes.get(&c)?.attrs())
     }
 
     /// The store's mutation counter. Bumped by every (attempted) insert,
@@ -1424,10 +1461,18 @@ impl Store {
         let mut after = before.clone();
         after.set(attr.clone(), value.clone());
         self.validate_object(&after)?;
-        self.index_remove(&before);
-        if let Err(e) = self.index_insert(&after) {
-            self.index_insert(&before).expect("restoring old key");
-            return Err(e);
+        // Only a key attribute moves the object's key-index entry; any
+        // other update leaves the index (and every copy sharing it)
+        // untouched.
+        let rekey = self
+            .key_attrs(&before.class)
+            .is_some_and(|key| key.contains(&attr));
+        if rekey {
+            self.index_remove(&before);
+            if let Err(e) = self.index_insert(&after) {
+                self.index_insert(&before).expect("restoring old key");
+                return Err(e);
+            }
         }
         self.db.update(id, attr.clone(), value.clone())?;
         if let Err(e) = self.check_class_and_db_constraints(&before.class) {
@@ -1436,8 +1481,10 @@ impl Store {
             self.db
                 .insert(before.clone())
                 .expect("reinsert during rollback");
-            self.index_remove(&after);
-            self.index_insert(&before).expect("restoring old key");
+            if rekey {
+                self.index_remove(&after);
+                self.index_insert(&before).expect("restoring old key");
+            }
             return Err(e);
         }
         let old = before.get(&attr).clone();

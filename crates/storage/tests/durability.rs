@@ -247,6 +247,38 @@ fn resurrected_stale_tail_never_reapplies_snapshotted_txns() {
     );
 }
 
+/// A segment the snapshot covers can survive it: a crash between the
+/// snapshot and its prune, or a prune whose directory fsync never
+/// landed. Replay skips that segment's transactions by the watermark,
+/// and must skip its touched-log markers too — the snapshot's touched
+/// state already reflects them. Applying the covered `TouchedDrain`
+/// on top of the snapshot would lose the undrained `b`.
+#[test]
+fn covered_touched_markers_are_not_replayed_over_the_snapshot() {
+    let dir = scratch("covered-markers");
+    let mut s = open(&dir, DurabilityMode::WalWithSnapshots);
+    s.set_snapshot_every(100); // only the explicit snapshot
+    s.track_touched(true);
+    let a = s
+        .create("Item", vec![("k", "a".into()), ("v", 1i64.into())])
+        .unwrap();
+    assert_eq!(s.take_touched(), vec![a]);
+    let b = s
+        .create("Item", vec![("k", "b".into()), ("v", 2i64.into())])
+        .unwrap();
+    let covered = segment_path(&dir, 1);
+    let bytes = std::fs::read(&covered).unwrap();
+    s.snapshot_now().unwrap();
+    assert!(!covered.exists(), "the covered segment was pruned");
+    drop(s);
+    // The crash came before the prune reached the disk.
+    std::fs::write(&covered, &bytes).unwrap();
+
+    let mut s = open(&dir, DurabilityMode::WalWithSnapshots);
+    assert_eq!(s.take_touched(), vec![b], "the undrained id survives");
+    assert_eq!(s.db().len(), 2);
+}
+
 /// Satellite regression: a second snapshot failure used to *overwrite*
 /// the first unretrieved error, collapsing the history into the newest
 /// symptom. Now the first error is kept and every attempt counted.

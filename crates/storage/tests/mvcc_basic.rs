@@ -157,6 +157,94 @@ fn snapshot_reads_are_stable_across_concurrent_commits() {
 }
 
 #[test]
+fn a_pinned_snapshot_survives_500_mixed_commits_unchanged() {
+    // Published snapshots share structure with the canonical store, so
+    // every commit below writes paths that the pinned version still
+    // references: it must copy them, never write through.
+    let store = MvccStore::new(Store::new(Database::new(schema(), 1), catalog()));
+    let mut seed = store.begin();
+    let mut ids = Vec::new();
+    for i in 0..300i64 {
+        let id = seed
+            .create(
+                "Item",
+                vec![
+                    ("k", format!("k{i}").as_str().into()),
+                    ("v", (i % 50).into()),
+                    ("w", i.into()),
+                ],
+            )
+            .expect("seed create");
+        ids.push(id);
+    }
+    seed.commit().expect("seed commit");
+
+    let pinned_view = store.read_view();
+    let mut pinned_txn = store.begin();
+    let before = dump(&pinned_view);
+    let reads_before: Vec<_> = ids.iter().map(|&id| pinned_txn.get(id)).collect();
+
+    // A fixed xorshift stream keeps the mix deterministic.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut live = ids.clone();
+    let mut fresh_keys = 0;
+    for _ in 0..500 {
+        let mut t = store.begin();
+        let pick = live[(next() % live.len() as u64) as usize];
+        match next() % 4 {
+            0 => {
+                fresh_keys += 1;
+                let id = t
+                    .create(
+                        "Item",
+                        vec![
+                            ("k", format!("n{fresh_keys}").as_str().into()),
+                            ("v", 1i64.into()),
+                        ],
+                    )
+                    .expect("insert");
+                live.push(id);
+            }
+            1 if live.len() > 100 => {
+                t.remove(pick).expect("remove");
+                live.retain(|&id| id != pick);
+            }
+            2 => {
+                fresh_keys += 1;
+                t.update(pick, "k", Value::str(format!("r{fresh_keys}")))
+                    .expect("key change");
+            }
+            _ => t
+                .update(pick, "w", Value::int((next() % 1000) as i64))
+                .expect("price update"),
+        }
+        t.commit().expect("single writer never conflicts");
+    }
+
+    assert_eq!(dump(&pinned_view), before, "the pinned view never changed");
+    let reads_after: Vec<_> = ids.iter().map(|&id| pinned_txn.get(id)).collect();
+    assert_eq!(
+        reads_after, reads_before,
+        "the open transaction's reads are stable"
+    );
+    assert_ne!(
+        dump(&store.read_view()),
+        before,
+        "the store itself moved on"
+    );
+    // The key index moved with the store, not with the pinned view.
+    let key = |s: &Store, k: &str| s.lookup_key(&"Item".into(), &[Value::str(k)]);
+    assert_eq!(key(&pinned_view, "k0"), Some(ids[0]));
+    assert_eq!(key(&pinned_view, "n1"), None);
+}
+
+#[test]
 fn first_committer_wins_on_overlapping_write_sets() {
     let store = fresh();
     let mut t = store.begin();

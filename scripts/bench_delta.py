@@ -15,6 +15,10 @@ regressed beyond the threshold (new_median > threshold * old_median),
 or when a selected baseline benchmark is missing from the new recording.
 Benchmarks only present in the new file are reported but never fail the
 check (new benches are allowed to appear).
+
+Within the new recording, `--min-speedup` gates a ratio between two
+benchmarks and `--max-growth` gates a curve: how much a cost may grow
+from one point of a parameterized benchmark to another.
 """
 
 import argparse
@@ -84,6 +88,18 @@ def main():
         "bench name also matches, pairing with the exact FAST name). "
         "Used to gate e.g. query_optimization/full_scan vs .../planned "
         "at 2x, or a single parameterized size at a steeper factor.",
+    )
+    ap.add_argument(
+        "--max-growth",
+        nargs=3,
+        metavar=("SMALL", "LARGE", "FACTOR"),
+        action="append",
+        default=[],
+        help="assert, within the NEW recording, that the exact benchmark "
+        "LARGE is at most FACTOR× slower than the exact benchmark SMALL "
+        "(e.g. the same operation at 100k and at 1k objects); fails when "
+        "either benchmark is missing. Gates a curve, so a cost linear in "
+        "the store's size cannot pass at one point.",
     )
     ap.add_argument(
         "--expect",
@@ -164,6 +180,25 @@ def main():
                 )
         if pairs == 0:
             failures.append(f"--min-speedup {slow_prefix}: no benchmarks matched")
+
+    for small, large, factor in args.max_growth:
+        factor = float(factor)
+        missing = [name for name in (small, large) if name not in new]
+        if missing:
+            for name in missing:
+                failures.append(f"--max-growth: {name} missing from new recording")
+            continue
+        growth = new[large] / new[small] if new[small] > 0 else float("inf")
+        ok = growth <= factor
+        status = "FLAT" if ok else "GROWS"
+        print(
+            f"{status:<9} {large:<55} {fmt_ns(new[small]):>10} -> "
+            f"{fmt_ns(new[large]):>10}  ({growth:.2f}x, max {factor:.2f}x)"
+        )
+        if not ok:
+            failures.append(
+                f"{large}: {growth:.2f}x the cost of {small} (max {factor:.2f}x)"
+            )
 
     if failures:
         print(f"\n{len(failures)} bench gate failure(s):", file=sys.stderr)
