@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use interop_conform::{plan::build_plans, AttrAction, PlanIndex, Rewriter};
-use interop_constraint::solve::{conjunction_unsat, TypeEnv};
+use interop_constraint::solve::{conjunction_satisfiable, Prepared, TypeEnv};
 use interop_constraint::{Formula, Path};
 use interop_model::ClassName;
 use interop_spec::{Relationship, Side};
@@ -74,13 +74,15 @@ pub(crate) fn check(
         conformed_env(&idx_r, &rclass, &mut env);
         let lcs = rewritten(input, Side::Local, &rw_l, &lclass, broken);
         let rcs = rewritten(input, Side::Remote, &rw_r, &rclass, broken);
+        let rps: Vec<Prepared> = rcs.values().map(Prepared::new).collect();
         for (lid, lf) in &lcs {
-            for (rid, rf) in &rcs {
+            let lp = Prepared::new(lf);
+            for ((rid, rf), rp) in rcs.iter().zip(&rps) {
                 let key = (lid.clone(), rid.clone());
                 if reported.contains(&key) {
                     continue;
                 }
-                if conjunction_unsat(&[lf, rf], &env) {
+                if !conjunction_satisfiable([&lp, rp], &env) {
                     diags.push(
                         Diagnostic::new(
                             Code::A003,

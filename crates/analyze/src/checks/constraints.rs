@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use interop_constraint::solve::{conjunction_unsat, is_satisfiable, TypeEnv};
+use interop_constraint::solve::{conjunction_satisfiable, is_satisfiable, Prepared, TypeEnv};
 use interop_constraint::Catalog;
 use interop_model::{ClassName, Schema};
 
@@ -78,8 +78,12 @@ fn side(
     for def in schema.classes() {
         let effective = catalog.object_effective(schema, &def.name);
         let env = env_of(&def.name);
+        let prepared: Vec<Prepared> = effective
+            .iter()
+            .map(|oc| Prepared::new(&oc.formula))
+            .collect();
         for (i, a) in effective.iter().enumerate() {
-            for b in effective.iter().skip(i + 1) {
+            for (j, b) in effective.iter().enumerate().skip(i + 1) {
                 let (first, second) = if a.id.as_str() <= b.id.as_str() {
                     (a, b)
                 } else {
@@ -89,7 +93,7 @@ fn side(
                 if broken.contains(&key.0) || broken.contains(&key.1) || seen.contains(&key) {
                     continue;
                 }
-                if conjunction_unsat(&[&a.formula, &b.formula], &env) {
+                if !conjunction_satisfiable([&prepared[i], &prepared[j]], &env) {
                     diags.push(
                         Diagnostic::new(
                             Code::A002,

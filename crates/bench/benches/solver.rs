@@ -1,9 +1,13 @@
 //! Bench B3: the satisfiability/implication solver. Sweeps the number of
 //! conjoined atoms (linear domain work) and the disjunction width (DNF
-//! growth).
+//! growth), and runs the integration's own shapes: the pairwise check of
+//! conditional constraints the analyzer makes, and conjunctions of
+//! implications too large to expand.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use interop_constraint::solve::{implies, is_satisfiable, TypeEnv};
+use interop_constraint::solve::{
+    conjunction_satisfiable, implies, is_satisfiable, Prepared, TypeEnv,
+};
 use interop_constraint::{CmpOp, Formula};
 use interop_model::Type;
 
@@ -32,6 +36,20 @@ fn disjunction(width: usize) -> Formula {
     (0..width)
         .map(|i| Formula::cmp("x0", CmpOp::Eq, i as i64))
         .fold(Formula::False, Formula::or)
+}
+
+/// `grade = i ⇒ score ≥ c` for `i < n`: the conditional constraints of
+/// the end-to-end benchmark's deep pair.
+fn conditionals(n: usize) -> Vec<Formula> {
+    (0..n)
+        .map(|i| {
+            Formula::cmp("grade", CmpOp::Eq, i as i64).implies(Formula::cmp(
+                "score",
+                CmpOp::Ge,
+                (i % 8 + 2) as i64,
+            ))
+        })
+        .collect()
 }
 
 fn bench(c: &mut Criterion) {
@@ -78,6 +96,41 @@ fn bench(c: &mut Criterion) {
     g.bench_function("dbm_negative_cycle", |b| {
         b.iter(|| is_satisfiable(std::hint::black_box(&diff), &e))
     });
+    // The analyzer's pair check (A002): normalise each constraint of a
+    // class once, then decide every pair's conjunction.
+    let cond_env = TypeEnv::new()
+        .with("grade", Type::Int)
+        .with("score", Type::Range(1, 10));
+    let cs = conditionals(33);
+    g.bench_with_input(
+        BenchmarkId::new("pairwise_conditional", cs.len()),
+        &cs.len(),
+        |b, _| {
+            b.iter(|| {
+                let prepared: Vec<Prepared> = std::hint::black_box(&cs)
+                    .iter()
+                    .map(Prepared::new)
+                    .collect();
+                let mut contradictory = 0;
+                for (i, a) in prepared.iter().enumerate() {
+                    for other in &prepared[i + 1..] {
+                        if !conjunction_satisfiable([a, other], &cond_env) {
+                            contradictory += 1;
+                        }
+                    }
+                }
+                contradictory
+            })
+        },
+    );
+    // Conjunctions of implications whose DNF exceeds the cap: the
+    // answer is "satisfiable" without deciding them.
+    for n in [32usize, 1024] {
+        let f = Formula::conj(conditionals(n));
+        g.bench_with_input(BenchmarkId::new("sat_implications", n), &n, |b, _| {
+            b.iter(|| is_satisfiable(std::hint::black_box(&f), &cond_env))
+        });
+    }
     g.finish();
 }
 

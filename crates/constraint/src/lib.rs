@@ -34,6 +34,15 @@
 //!   Conflict detection, constraint admission, query pruning and
 //!   implied-true dropping are all safe against this direction; none is
 //!   safe against the opposite one.
+//! * **A verdict is the capped DNF's.** [`solve::is_satisfiable`],
+//!   [`solve::implies`], [`solve::conjunction_unsat`] and
+//!   [`solve::conjunction_satisfiable`] answer what the DNF expansion
+//!   gives when it has at most [`solve::DNF_CAP`] conjuncts — satisfiable
+//!   iff some conjunct survives the per-conjunct theory check — and past
+//!   the cap the answer is "satisfiable", the conservative direction. How
+//!   the answer is found (a depth-first search over the expansion of
+//!   formulas normalised once, never building it) is mechanism, not
+//!   contract; `tests/prop_solver.rs` keeps the expansion as its oracle.
 //! * **Evaluation is three-valued** ([`eval::Truth`]): a null attribute
 //!   makes an atom `Unknown`, never `True`/`False`. Constraint
 //!   *enforcement* accepts `Unknown` (a constraint is violated only when

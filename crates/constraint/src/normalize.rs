@@ -8,6 +8,7 @@
 //! constant-folding simplifier — the preprocessing steps the solver and
 //! the derivation engine rely on.
 
+use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 
 use interop_model::fx::{FxHashSet, FxHasher};
@@ -150,11 +151,8 @@ pub fn simplify(f: &Formula) -> Formula {
         Formula::And(fs) => {
             let mut out = Children::default();
             for g in fs {
-                match simplify(g) {
-                    Formula::True => {}
-                    Formula::False => return Formula::False,
-                    Formula::And(inner) => out.extend_unchecked(inner),
-                    g => out.push_new(g),
+                if !out.conjoin(simplify(g)) {
+                    return Formula::False;
                 }
             }
             match out.items.len() {
@@ -194,23 +192,77 @@ pub fn simplify(f: &Formula) -> Formula {
 /// is already in `hashes`, so a long conjunction simplifies in expected
 /// linear time. The members of a nested `And`/`Or` are flattened in
 /// unchecked, but are hashed so later children are checked against them.
-#[derive(Default)]
-struct Children {
-    items: Vec<Formula>,
+///
+/// [`simplify`] owns its children; the solver joins the borrowed
+/// conjuncts of formulas it normalised earlier under the same rule,
+/// [`Children::conjoin`].
+pub(crate) struct Children<F> {
+    pub(crate) items: Vec<F>,
     hashes: FxHashSet<u64>,
 }
 
-impl Children {
-    fn push_new(&mut self, g: Formula) {
-        if self.hashes.insert(fx_hash(&g)) || !self.items.contains(&g) {
+impl<F> Default for Children<F> {
+    fn default() -> Self {
+        Children {
+            items: Vec::new(),
+            hashes: FxHashSet::default(),
+        }
+    }
+}
+
+impl<F: Child> Children<F> {
+    /// Adds `g`, a simplified conjunct, to a conjunction: `True` is
+    /// dropped and the members of an `And` are flattened in. Returns
+    /// `false` when `g` is `False`, which makes the conjunction `False`.
+    pub(crate) fn conjoin(&mut self, g: F) -> bool {
+        match g.borrow() {
+            Formula::True => return true,
+            Formula::False => return false,
+            _ => {}
+        }
+        match g.into_conjuncts() {
+            Ok(members) => self.extend_unchecked(members),
+            Err(g) => self.push_new(g),
+        }
+        true
+    }
+
+    fn push_new(&mut self, g: F) {
+        if self.hashes.insert(fx_hash(g.borrow()))
+            || !self.items.iter().any(|x| x.borrow() == g.borrow())
+        {
             self.items.push(g);
         }
     }
 
-    fn extend_unchecked(&mut self, gs: Vec<Formula>) {
+    fn extend_unchecked(&mut self, gs: impl IntoIterator<Item = F>) {
         for g in gs {
-            self.hashes.insert(fx_hash(&g));
+            self.hashes.insert(fx_hash(g.borrow()));
             self.items.push(g);
+        }
+    }
+}
+
+/// A simplified formula as [`Children`] holds it, owned or borrowed.
+pub(crate) trait Child: Borrow<Formula> + Sized {
+    /// The members of a conjunction; any other formula is returned as is.
+    fn into_conjuncts(self) -> Result<impl IntoIterator<Item = Self>, Self>;
+}
+
+impl Child for Formula {
+    fn into_conjuncts(self) -> Result<impl IntoIterator<Item = Self>, Self> {
+        match self {
+            Formula::And(members) => Ok(members),
+            g => Err(g),
+        }
+    }
+}
+
+impl Child for &Formula {
+    fn into_conjuncts(self) -> Result<impl IntoIterator<Item = Self>, Self> {
+        match self {
+            Formula::And(members) => Ok(members),
+            g => Err(g),
         }
     }
 }
@@ -303,6 +355,32 @@ pub fn dnf(f: &Formula, cap: usize) -> Option<Vec<Vec<Formula>>> {
         }
     }
     go(&simplify(&nnf(f)), cap)
+}
+
+/// The number of conjuncts in the DNF expansion of `f` as it stands,
+/// counted without building them, or `None` past `cap`, with [`dnf`]'s
+/// own give-up rule: so `dnf_size(&simplify(&nnf(f)), cap)` is
+/// `dnf(f, cap).map(|d| d.len())`.
+pub(crate) fn dnf_size(f: &Formula, cap: usize) -> Option<usize> {
+    match f {
+        Formula::True => Some(1),
+        Formula::False => Some(0),
+        Formula::And(fs) => conjunction_size(fs, cap),
+        Formula::Or(fs) => fs.iter().try_fold(0, |acc: usize, g| {
+            Some(acc.checked_add(dnf_size(g, cap)?)?).filter(|&n| n <= cap)
+        }),
+        _ => Some(1),
+    }
+}
+
+/// [`dnf_size`] of the conjunction of `fs`.
+pub(crate) fn conjunction_size<'f>(
+    fs: impl IntoIterator<Item = &'f Formula>,
+    cap: usize,
+) -> Option<usize> {
+    fs.into_iter().try_fold(1, |acc: usize, g| {
+        acc.checked_mul(dnf_size(g, cap)?).filter(|&n| n <= cap)
+    })
 }
 
 #[cfg(test)]
@@ -425,5 +503,39 @@ mod tests {
     fn dnf_of_false_is_empty() {
         assert_eq!(dnf(&Formula::False, 8).unwrap().len(), 0);
         assert_eq!(dnf(&Formula::True, 8).unwrap(), vec![Vec::<Formula>::new()]);
+    }
+
+    #[test]
+    fn dnf_size_counts_what_dnf_builds() {
+        let cl = |n: &str| Formula::cmp(n, CmpOp::Eq, 1i64).or(Formula::cmp(n, CmpOp::Eq, 2i64));
+        let three = |n: &str| {
+            Formula::Or(vec![
+                Formula::cmp(n, CmpOp::Eq, 1i64),
+                Formula::cmp(n, CmpOp::Eq, 2i64),
+                Formula::cmp(n, CmpOp::Eq, 3i64),
+            ])
+        };
+        let x = Formula::cmp("x", CmpOp::Ge, 1i64);
+        let cases = [
+            Formula::True,
+            Formula::False,
+            x.clone(),
+            cl("a").and(cl("b")).and(cl("c")),
+            cl("a").and(x.clone()).or(three("b").and(cl("c"))),
+            // A repeated disjunction flattened in unchecked still counts twice.
+            cl("a").and(cl("a").and(x.clone())),
+            Formula::Not(Box::new(cl("a").and(three("b")))),
+            three("a").and(three("b")).and(three("c")),
+        ];
+        for f in &cases {
+            let normal = simplify(&nnf(f));
+            for cap in [0, 1, 2, 3, 4, 5, 8, 9, 12, 26, 27, 28, 64] {
+                assert_eq!(
+                    dnf_size(&normal, cap),
+                    dnf(f, cap).map(|d| d.len()),
+                    "{f} at cap {cap}"
+                );
+            }
+        }
     }
 }

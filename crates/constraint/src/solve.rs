@@ -18,6 +18,22 @@
 //! for *proven* entailments — exactly the conservative behaviour the
 //! paper's conflict detection (`Ω̂ ⊨ false`) and strict-similarity check
 //! (`Ω' ⊨ Ω̂`, §5.2.1) require.
+//!
+//! **Contract.** A verdict is the one the DNF expansion of the formula
+//! gives when it has at most [`DNF_CAP`] conjuncts: satisfiable iff some
+//! conjunct survives the per-conjunct theory check. Past the cap the
+//! answer is "satisfiable".
+//!
+//! **Mechanism.** The expansion is never built. The formula is normalised
+//! once (`simplify(nnf(f))`), its expansion counted without building it,
+//! and searched depth-first: atoms are asserted into the branch's theory
+//! state on the way down, a branch is dropped as soon as that state is
+//! dead (an emptied domain), the full check runs once per complete
+//! branch, and the search stops at the first consistent one. A
+//! [`Prepared`] formula is normalised once for many questions;
+//! [`conjunction_satisfiable`] joins prepared parts under `simplify`'s own
+//! rule for a conjunction, so its verdict and its cap are those of the
+//! conjunction of their formulas. Only [`project`] still expands to DNF.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,9 +41,10 @@ use interop_model::{Type, Value, R64};
 
 use crate::domain::{DiscSet, Domain, NumSet};
 use crate::expr::{ArithOp, CmpOp, Expr, Formula, Path};
-use crate::normalize::{dnf, simplify};
+use crate::normalize::{conjunction_size, dnf, nnf, simplify, Children};
 
-/// Default cap on DNF size before the solver gives up (returns "unknown").
+/// Cap on the DNF size the solver decides; past it the answer is
+/// "satisfiable" ("unknown", in the conservative direction).
 pub const DNF_CAP: usize = 512;
 
 /// Types of the attribute paths a formula may mention. Paths absent from
@@ -107,13 +124,13 @@ impl TypeEnv {
 
 /// An affine view of an expression: `coeff · path + offset` (path may be
 /// absent for pure constants).
-struct Lin {
+struct Lin<'e> {
     coeff: R64,
-    path: Option<Path>,
+    path: Option<&'e Path>,
     offset: R64,
 }
 
-fn linearize(e: &Expr) -> Option<Lin> {
+fn linearize(e: &Expr) -> Option<Lin<'_>> {
     match e {
         Expr::Const(v) => Some(Lin {
             coeff: R64::new(0.0),
@@ -122,7 +139,7 @@ fn linearize(e: &Expr) -> Option<Lin> {
         }),
         Expr::Attr(p) => Some(Lin {
             coeff: R64::new(1.0),
-            path: Some(p.clone()),
+            path: Some(p),
             offset: R64::new(0.0),
         }),
         Expr::Neg(inner) => {
@@ -155,7 +172,7 @@ fn linearize(e: &Expr) -> Option<Lin> {
                         }),
                         (Some(p), Some(q)) if p == q => Some(Lin {
                             coeff: la.coeff + sign * lb.coeff,
-                            path: Some(p.clone()),
+                            path: Some(*p),
                             offset: la.offset + sign * lb.offset,
                         }),
                         _ => None, // two distinct paths: not unary-affine
@@ -194,7 +211,16 @@ fn linearize(e: &Expr) -> Option<Lin> {
     }
 }
 
-/// Per-conjunct solver state.
+/// The theory state of one branch: the atoms asserted along it, by path.
+///
+/// Atoms are asserted one at a time. `restrict` narrows a path's domain
+/// at once, and `dead` records eagerly that the branch is already
+/// refuted: an emptied domain, a false constant comparison, a `False`
+/// atom. No further atom revives a dead state, so the search drops the
+/// branch there. The rest of the refutation (equalities, disequalities,
+/// `contains` filters, difference bounds) is [`Conj::unsat`], run once
+/// on each complete branch.
+#[derive(Clone)]
 struct Conj {
     domains: BTreeMap<Path, Domain>,
     /// `p - q <= c` (strict when the flag is set).
@@ -227,10 +253,22 @@ impl Conj {
             .or_insert_with(|| env.base_domain(p))
     }
 
+    /// Narrows the path's domain — its type's domain when the branch has
+    /// none yet — to `d`.
     fn restrict(&mut self, env: &TypeEnv, p: &Path, d: &Domain) {
-        let cur = self.domain_mut(env, p);
-        *cur = cur.intersect(d);
-        if cur.is_empty() {
+        let emptied = match self.domains.get_mut(p) {
+            Some(cur) => {
+                *cur = cur.intersect(d);
+                cur.is_empty()
+            }
+            None => {
+                let cur = env.base_domain(p).intersect(d);
+                let empty = cur.is_empty();
+                self.domains.insert(p.clone(), cur);
+                empty
+            }
+        };
+        if emptied {
             self.dead = true;
         }
     }
@@ -243,7 +281,7 @@ impl Conj {
             Formula::Cmp(a, op, b) => self.add_cmp(env, a, *op, b),
             Formula::In(e, set) => {
                 if let Some(l) = linearize(e) {
-                    if let Some(p) = l.path.clone() {
+                    if let Some(p) = l.path {
                         // Solve coeff·p + offset ∈ set for p where possible.
                         if l.coeff.get() != 0.0 {
                             let mut pre = BTreeSet::new();
@@ -257,8 +295,8 @@ impl Conj {
                                 }
                             }
                             if all_num {
-                                let d = Domain::from_values(&pre, env.integral(&p));
-                                self.restrict(env, &p, &d);
+                                let d = Domain::from_values(&pre, env.integral(p));
+                                self.restrict(env, p, &d);
                                 return;
                             }
                         }
@@ -301,14 +339,13 @@ impl Conj {
         // Try the affine route first: la op lb with at most one path per
         // side (same path allowed on both).
         if let (Some(la), Some(lb)) = (linearize(a), linearize(b)) {
-            match (&la.path, &lb.path) {
-                (Some(_), None) | (None, Some(_)) => {
+            match (la.path, lb.path) {
+                (Some(p), None) | (None, Some(p)) => {
                     // coeff·p + off op const  (or reversed)
-                    let (p, coeff, off, konst, op) = if let Some(p) = &la.path {
-                        (p.clone(), la.coeff, la.offset, lb.offset, op)
+                    let (coeff, off, konst, op) = if la.path.is_some() {
+                        (la.coeff, la.offset, lb.offset, op)
                     } else {
-                        let p = lb.path.clone().expect("checked by match arm");
-                        (p, lb.coeff, lb.offset, la.offset, op.flip())
+                        (lb.coeff, lb.offset, la.offset, op.flip())
                     };
                     if coeff.get() == 0.0 {
                         // Degenerate: constant vs constant.
@@ -320,8 +357,8 @@ impl Conj {
                     }
                     let rhs = (konst - off) / coeff;
                     let op = if coeff.get() < 0.0 { op.flip() } else { op };
-                    let d = Domain::Num(NumSet::from_cmp(env.integral(&p), op, rhs));
-                    self.restrict(env, &p, &d);
+                    let d = Domain::Num(NumSet::from_cmp(env.integral(p), op, rhs));
+                    self.restrict(env, p, &d);
                     return;
                 }
                 (Some(p), Some(q)) if p != q => {
@@ -563,27 +600,134 @@ fn singleton(d: &Domain) -> Option<Value> {
 }
 
 /// Is the formula satisfiable? Returns `true` when satisfiability cannot
-/// be ruled out (over-approximation: opaque atoms are dropped, DNF blow-up
-/// returns `true`).
+/// be ruled out (over-approximation: opaque atoms are dropped, and an
+/// expansion past [`DNF_CAP`] conjuncts returns `true`).
 pub fn is_satisfiable(f: &Formula, env: &TypeEnv) -> bool {
-    match dnf(f, DNF_CAP) {
-        None => true, // too big to decide — assume satisfiable
-        Some(conjs) => conjs.into_iter().any(|c| {
-            let mut st = Conj::new();
-            for atom in &c {
-                st.add_atom(env, atom);
-            }
-            !st.unsat(env)
-        }),
+    expansion_satisfiable(&[&simplify(&nnf(f))], env)
+}
+
+/// The verdict on the conjunction of `conjuncts`, normalised formulas:
+/// depth-first over their DNF expansion, at the first consistent branch.
+fn expansion_satisfiable(conjuncts: &[&Formula], env: &TypeEnv) -> bool {
+    if conjunction_size(conjuncts.iter().copied(), DNF_CAP).is_none() {
+        return true; // too big to decide — assume satisfiable
     }
+    let agenda = Agenda {
+        conjuncts,
+        nested: Vec::new(),
+    };
+    consistent_branch(Conj::new(), agenda, None, env)
+}
+
+/// The atoms still to assert on a branch: the rest of the top-level
+/// conjunction, after the rest of each nested conjunction entered on
+/// the way (innermost last).
+#[derive(Clone)]
+struct Agenda<'f> {
+    conjuncts: &'f [&'f Formula],
+    nested: Vec<&'f [Formula]>,
+}
+
+impl<'f> Agenda<'f> {
+    fn next(&mut self) -> Option<&'f Formula> {
+        while let Some(members) = self.nested.last_mut() {
+            if let Some((g, rest)) = members.split_first() {
+                *members = rest;
+                return Some(g);
+            }
+            self.nested.pop();
+        }
+        let (g, rest) = self.conjuncts.split_first()?;
+        self.conjuncts = rest;
+        Some(*g)
+    }
+}
+
+/// Does some branch of the expansion, from `st` with `goal` and then the
+/// agenda still to assert, survive the theory check? The branches and the
+/// order of atoms on each are exactly [`dnf`]'s conjuncts. A branch is
+/// dropped as soon as its state is dead, which no further atom undoes;
+/// a complete one gets the full check.
+fn consistent_branch<'f>(
+    mut st: Conj,
+    mut agenda: Agenda<'f>,
+    mut goal: Option<&'f Formula>,
+    env: &TypeEnv,
+) -> bool {
+    while let Some(g) = goal.take().or_else(|| agenda.next()) {
+        match g {
+            Formula::And(members) => agenda.nested.push(members),
+            Formula::Or(alternatives) => {
+                let Some((last, rest)) = alternatives.split_last() else {
+                    return false; // an empty disjunction has no branch
+                };
+                for alt in rest {
+                    if consistent_branch(st.clone(), agenda.clone(), Some(alt), env) {
+                        return true;
+                    }
+                }
+                goal = Some(last);
+            }
+            atom => {
+                st.add_atom(env, atom);
+                if st.dead {
+                    return false;
+                }
+            }
+        }
+    }
+    !st.unsat(env)
+}
+
+/// A formula normalised once, for many satisfiability questions about
+/// conjunctions it joins: each top-level conjunct (as [`Formula::and`]
+/// flattens them) in simplified negation normal form.
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    conjuncts: Vec<Formula>,
+}
+
+impl Prepared {
+    /// Normalises `f` once.
+    pub fn new(f: &Formula) -> Self {
+        let top = match f {
+            Formula::And(fs) => fs.as_slice(),
+            f => std::slice::from_ref(f),
+        };
+        Prepared {
+            conjuncts: top.iter().map(|c| simplify(&nnf(c))).collect(),
+        }
+    }
+
+    /// Normalises `¬f` once: the part an entailment check `phi ⊨ f`
+    /// conjoins with `phi`.
+    pub fn negation(f: &Formula) -> Self {
+        Prepared::new(&Formula::Not(Box::new(f.clone())))
+    }
+}
+
+/// Is the conjunction of the prepared parts satisfiable? The parts are
+/// joined under `simplify`'s own rule for a conjunction, so the verdict,
+/// cap included, is [`is_satisfiable`]'s on the conjunction of their
+/// formulas (`Formula::conj` of them, or `phi.and(¬psi)` for the parts of
+/// [`Prepared::new`]`(phi)` and [`Prepared::negation`]`(psi)`).
+pub fn conjunction_satisfiable<'p>(
+    parts: impl IntoIterator<Item = &'p Prepared>,
+    env: &TypeEnv,
+) -> bool {
+    let mut joined = Children::default();
+    for c in parts.into_iter().flat_map(|p| &p.conjuncts) {
+        if !joined.conjoin(c) {
+            return false;
+        }
+    }
+    expansion_satisfiable(&joined.items, env)
 }
 
 /// Proven entailment: `phi ⊨ psi` iff `phi ∧ ¬psi` is unsatisfiable.
 /// Returns `false` when entailment cannot be proven (conservative).
 pub fn implies(phi: &Formula, psi: &Formula, env: &TypeEnv) -> bool {
-    let neg = Formula::Not(Box::new(psi.clone()));
-    let conj = phi.clone().and(neg);
-    !is_satisfiable(&conj, env)
+    !conjunction_satisfiable([&Prepared::new(phi), &Prepared::negation(psi)], env)
 }
 
 /// Proven equivalence (entailment both ways).
@@ -775,8 +919,8 @@ pub fn selectivity_hint(f: &Formula, env: &TypeEnv) -> Option<f64> {
 /// Is the conjunction of all formulas unsatisfiable? (The paper's
 /// *explicit conflict*: `Ω̂ ⊨ false`.)
 pub fn conjunction_unsat(fs: &[&Formula], env: &TypeEnv) -> bool {
-    let conj = Formula::conj(fs.iter().map(|f| (*f).clone()));
-    !is_satisfiable(&conj, env)
+    let parts: Vec<Prepared> = fs.iter().map(|f| Prepared::new(f)).collect();
+    !conjunction_satisfiable(&parts, env)
 }
 
 /// Projects the solution set of `f` onto `path`: the union over DNF
@@ -991,6 +1135,7 @@ fn num_val(v: R64, integral: bool) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn env() -> TypeEnv {
         TypeEnv::new()
@@ -1438,6 +1583,112 @@ mod tests {
         assert!(!arithmetic_free(&arith));
         // Arithmetic targets are refused outright.
         assert!(!implied_by_restricted(&[Formula::True], &arith, &env()));
+    }
+
+    /// Atoms of every kind the theory state records: domain restrictions,
+    /// difference bounds, discrete (dis)equalities between paths, and
+    /// `contains`/`not contains`.
+    fn arb_atom() -> impl Strategy<Value = Formula> {
+        let op = prop::sample::select(vec![
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ]);
+        let name = prop::sample::select(vec!["ACM", "IEEE", "Springer"]);
+        prop_oneof![
+            (op.clone(), 0i64..12).prop_map(|(o, c)| Formula::cmp("rating", o, c)),
+            prop::collection::btree_set(0i64..12, 1..4)
+                .prop_map(|s| Formula::isin("trav_reimb", s)),
+            (op, prop::sample::select(vec![-2.0, 0.0, 3.0])).prop_map(|(o, c)| {
+                Formula::Cmp(
+                    Expr::Bin(
+                        Box::new(Expr::attr("libprice")),
+                        ArithOp::Add,
+                        Box::new(Expr::val(c)),
+                    ),
+                    o,
+                    Expr::attr("shopprice"),
+                )
+            }),
+            (name.clone(), any::<bool>()).prop_map(|(n, eq)| {
+                Formula::cmp("publisher.name", if eq { CmpOp::Eq } else { CmpOp::Ne }, n)
+            }),
+            (any::<bool>(), any::<bool>()).prop_map(|(eq, flip)| {
+                let (a, b) = if flip {
+                    ("alias", "publisher.name")
+                } else {
+                    ("publisher.name", "alias")
+                };
+                Formula::Cmp(
+                    Expr::attr(a),
+                    if eq { CmpOp::Eq } else { CmpOp::Ne },
+                    Expr::attr(b),
+                )
+            }),
+            (prop::sample::select(vec!["E", "AC", "ring"]), any::<bool>()).prop_map(|(s, neg)| {
+                let c = Formula::Contains(Expr::attr("publisher.name"), s.into());
+                if neg {
+                    Formula::Not(Box::new(c))
+                } else {
+                    c
+                }
+            }),
+            prop::collection::btree_set(name, 1..3).prop_map(|s| Formula::In(
+                Expr::attr("alias"),
+                s.into_iter().map(Value::str).collect()
+            )),
+            any::<bool>().prop_map(|b| Formula::cmp("ref?", CmpOp::Eq, b)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Once a branch's state is dead, no further atom revives it, and
+        /// the full check agrees: the search may drop the branch there.
+        #[test]
+        fn a_dead_state_stays_dead(atoms in prop::collection::vec(arb_atom(), 1..12)) {
+            let e = env();
+            let mut st = Conj::new();
+            let mut died = false;
+            for atom in &atoms {
+                st.add_atom(&e, atom);
+                prop_assert!(st.dead || !died, "{} revived a dead state", atom);
+                died = st.dead;
+                if died {
+                    prop_assert!(st.clone().unsat(&e));
+                }
+            }
+        }
+
+        /// A clone taken on the way down is a state of its own: the full
+        /// check gives every clone of a prefix's state the answer of a
+        /// state built from that prefix alone, whatever the original
+        /// asserts after the clone was taken.
+        #[test]
+        fn the_full_check_answers_alike_on_every_clone(
+            atoms in prop::collection::vec(arb_atom(), 1..12)
+        ) {
+            let e = env();
+            let mut st = Conj::new();
+            let mut clones = Vec::new();
+            for atom in &atoms {
+                st.add_atom(&e, atom);
+                clones.push(st.clone());
+            }
+            for (n, clone) in clones.into_iter().enumerate() {
+                let mut fresh = Conj::new();
+                for atom in &atoms[..=n] {
+                    fresh.add_atom(&e, atom);
+                }
+                let verdict = fresh.unsat(&e);
+                prop_assert_eq!(clone.clone().unsat(&e), verdict);
+                prop_assert_eq!(clone.unsat(&e), verdict);
+            }
+        }
     }
 
     #[test]
