@@ -1,9 +1,12 @@
 //! Experiment F2 bench: the conformation + merging pipeline on the paper
-//! fixture and on synthetic extents of growing size, and the conflict
-//! checks on the end-to-end benchmark's two synthetic pairs.
+//! fixture and on synthetic extents of growing size, the conflict
+//! checks on the end-to-end benchmark's two synthetic pairs, and the
+//! whole-database builds after them: conform on the wide pair, and the
+//! merged view materialised and loaded into a store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use interop_bench::{synthetic_fixture, SyntheticConfig};
+use interop_constraint::{Catalog, ClassConstraint, ConstraintId};
 use interop_core::conflict::detect_conflicts;
 use interop_core::derive::{derive_global_constraints, DeriveOptions};
 use interop_core::fixtures;
@@ -119,6 +122,58 @@ fn bench(c: &mut Criterion) {
             |b, _| b.iter(|| detect_conflicts(&sconf, &statuses, &global, &view)),
         );
     }
+
+    // The object-bound path after merge, as the end-to-end integrations
+    // run it: conform the wide pair (10k objects per side), and
+    // materialise the merged view and load it into a store keyed on
+    // `key` per class, at 1k, 10k and 100k objects per side.
+    let wide = synthetic_fixture(SyntheticConfig {
+        local_n: 10_000,
+        remote_n: 10_000,
+        match_ratio: 0.5,
+        constraints_per_side: 4,
+        seed: 42,
+    });
+    g.bench_with_input(BenchmarkId::new("conform", 10_000), &10_000, |b, _| {
+        b.iter(|| {
+            interop_conform::conform(
+                &wide.local_db,
+                &wide.local_catalog,
+                &wide.remote_db,
+                &wide.remote_catalog,
+                &wide.spec,
+            )
+            .expect("conforms")
+        })
+    });
+    drop(wide);
+    for n in [1_000usize, 10_000, 100_000] {
+        let view = {
+            let sfx = synthetic_fixture(SyntheticConfig {
+                local_n: n,
+                remote_n: n,
+                match_ratio: 0.5,
+                constraints_per_side: 4,
+                seed: 42,
+            });
+            let sconf = interop_conform::conform(
+                &sfx.local_db,
+                &sfx.local_catalog,
+                &sfx.remote_db,
+                &sfx.remote_catalog,
+                &sfx.spec,
+            )
+            .expect("conforms");
+            interop_merge::merge(&sconf, &Default::default()).expect("merges")
+        };
+        let catalog = key_catalog(&view.materialize("Global", 9).expect("materialises"));
+        g.bench_with_input(BenchmarkId::new("materialize_load", n), &n, |b, _| {
+            b.iter(|| {
+                let db = view.materialize("Global", 9).expect("materialises");
+                interop_storage::Store::new(db, catalog.clone())
+            })
+        });
+    }
     g.finish();
 
     let view = interop_merge::merge(&conf, &opts).expect("merges");
@@ -131,6 +186,22 @@ fn bench(c: &mut Criterion) {
             .map(|i| i.name.to_string())
             .collect::<Vec<_>>()
     );
+}
+
+/// A key on `key` for every class of a materialised view that has it.
+fn key_catalog(db: &interop_model::Database) -> Catalog {
+    let key = interop_model::AttrName::new("key");
+    let mut cat = Catalog::new();
+    for class in db.schema.class_names() {
+        if db.schema.resolve_attr(class, &key).is_some() {
+            cat.add_class(ClassConstraint::key(
+                ConstraintId::new(db.name(), class, "key"),
+                class.clone(),
+                vec!["key"],
+            ));
+        }
+    }
+    cat
 }
 
 criterion_group!(benches, bench);

@@ -516,6 +516,28 @@ mod tests {
     }
 
     #[test]
+    fn identity_classes_share_the_source_objects() {
+        use std::sync::Arc;
+        let (ldb, lcat, rdb, rcat, spec) = fixture();
+        let conf = conform(&ldb, &lcat, &rdb, &rcat, &spec).unwrap();
+        // Every remote class keeps its names and converts by identity,
+        // so each conformed remote object is the source's own.
+        assert_eq!(conf.remote.db.len(), rdb.len());
+        for (conformed, source) in conf.remote.db.shared_objects().zip(rdb.shared_objects()) {
+            assert!(Arc::ptr_eq(conformed, source), "{} was copied", source.id);
+        }
+        // Local objects are renamed and converted: new objects.
+        let rp = ldb.shared_objects().next().unwrap();
+        let conformed = conf
+            .local
+            .db
+            .shared_objects()
+            .find(|o| o.id == rp.id)
+            .unwrap();
+        assert!(!Arc::ptr_eq(conformed, rp));
+    }
+
+    #[test]
     fn descriptivity_becomes_equality_on_virtual_class() {
         let (ldb, lcat, rdb, rcat, spec) = fixture();
         let conf = conform(&ldb, &lcat, &rdb, &rcat, &spec).unwrap();

@@ -18,6 +18,7 @@
 
 use interop_model::fx::{FxHashMap, FxHashSet};
 use interop_model::{AttrDef, AttrName, ClassName, Schema};
+use interop_spec::Conversion;
 
 use crate::plan::{AttrPlan, Objectify, SidePlan};
 
@@ -166,6 +167,22 @@ impl<'a> PlanIndex<'a> {
             Some(AttrAction::Planned(p)) => Some(p),
             _ => None,
         }
+    }
+
+    /// True when conforming leaves every object of `class` as it is: no
+    /// visible attribute is objectified, and each planned one keeps its
+    /// name and converts by [`Conversion::Id`]. The database
+    /// transformation keeps such objects instead of copying them.
+    pub fn conforms_by_identity(&self, class: &ClassName) -> bool {
+        self.attrs.get(class).is_some_and(|attrs| {
+            attrs.iter().all(|(name, info)| match info.action {
+                None => true,
+                Some(AttrAction::Planned(p)) => {
+                    &p.new_name == name && p.conversion == Conversion::Id
+                }
+                Some(AttrAction::Objectified(..)) => false,
+            })
+        })
     }
 
     /// All visible attributes of `class`, fully resolved, in

@@ -1,8 +1,10 @@
 //! Database transformation: attribute renames, value conversion, and
 //! value→object conversion (virtual classes).
 
-use interop_model::fx::FxHashMap;
-use interop_model::{ClassDef, Database, Object, Schema, Type, Value};
+use std::sync::Arc;
+
+use interop_model::fx::{FxHashMap, FxHashSet};
+use interop_model::{ClassDef, ClassName, Database, Object, Schema, Type, Value};
 
 use crate::interned::PlanIndex;
 use crate::plan::ConformError;
@@ -25,6 +27,10 @@ pub(crate) fn virt_id_for(
 /// Applies a side's plan to its database: builds the conformed schema
 /// (renamed/retyped attributes, virtual classes), converts every stored
 /// value, and materialises virtual objects from objectified values.
+/// The result is built whole ([`Database::from_objects`]); an object of
+/// a class that conforms by identity
+/// ([`PlanIndex::conforms_by_identity`]) is kept as the source's `Arc`
+/// rather than copied.
 ///
 /// `virt_space` tags the object ids of created virtual objects; it must
 /// differ from both component databases' spaces.
@@ -33,8 +39,16 @@ pub fn conform_database(
     index: &PlanIndex,
     virt_space: u32,
 ) -> Result<Database, ConformError> {
-    let schema = conform_schema(index)?;
-    let mut out = Database::new(schema, db.space());
+    let schema = Arc::new(conform_schema(index)?);
+    let model_err = |e: interop_model::ModelError| ConformError::Model(e.to_string());
+    let unchanged: FxHashSet<&ClassName> = index
+        .schema
+        .class_names()
+        .filter(|c| index.conforms_by_identity(c))
+        .collect();
+    // Conformed objects in extent order: each new virtual object just
+    // before its first owner.
+    let mut objects: Vec<Arc<Object>> = Vec::with_capacity(db.len());
     // Virtual object registry: (objectification position, value tuple) →
     // id. Each virtual id derives from its *first* (minimum-serial) owner:
     // `owner.serial * nobj + opos`, injective because every owner yields
@@ -53,24 +67,34 @@ pub fn conform_database(
     // keeps its objects' global-space ids while declaring a fresh
     // space for future creations).
     let mut owner_space: Option<u32> = None;
-    for obj in db.objects() {
+    for obj in db.shared_objects() {
         debug_assert_eq!(
             *owner_space.get_or_insert(obj.id.space()),
             obj.id.space(),
             "virtual-id derivation requires a single-space source database"
         );
-        let new_obj = conform_object(obj, index, |opos, o, tuple| {
+        if unchanged.contains(&obj.class) {
+            objects.push(Arc::clone(obj));
+            continue;
+        }
+        let conformed = conform_object(obj, index, |opos, o, tuple| {
             *virt_ids.entry((opos, tuple.clone())).or_insert_with(|| {
                 let id = virt_id_for(virt_space, obj.id.serial(), nobj, opos);
-                out.insert(make_virt_object(id, o, &tuple))
-                    .expect("virtual object matches virtual schema");
+                objects.push(Arc::new(make_virt_object(id, o, &tuple)));
                 id
             })
-        })?;
-        out.insert(new_obj)
-            .map_err(|e| ConformError::Model(e.to_string()))?;
+        });
+        match conformed {
+            Ok(new_obj) => objects.push(Arc::new(new_obj)),
+            Err(e) => {
+                // The first error in object order wins: an earlier
+                // object the conformed schema refuses comes before it.
+                Database::from_objects(schema, db.space(), objects).map_err(model_err)?;
+                return Err(e);
+            }
+        }
     }
-    Ok(out)
+    Database::from_objects(schema, db.space(), objects).map_err(model_err)
 }
 
 /// Conforms one source object: renames/converts planned attributes and

@@ -373,6 +373,11 @@ impl Conj {
                             CmpOp::Eq => {
                                 self.diffs.push((p.clone(), q.clone(), c, false));
                                 self.diffs.push((q.clone(), p.clone(), -c, false));
+                                if c.get() == 0.0 {
+                                    // `p = q` also joins their domains,
+                                    // which the DBM ignores off numbers.
+                                    self.eqs.push((p.clone(), q.clone()));
+                                }
                             }
                             CmpOp::Ne => self.neqs.push((p.clone(), q.clone())),
                         }
@@ -1214,6 +1219,33 @@ mod tests {
             &Formula::cmp("rating", CmpOp::Le, 10i64),
             &env()
         ));
+    }
+
+    #[test]
+    fn path_equality_joins_domains_of_any_kind() {
+        // `s = t` between two bare paths reaches the domain propagation
+        // as well as the difference bounds, so strings refute too.
+        let e = env().with("s", Type::Str).with("t", Type::Str);
+        let eq = || Formula::Cmp(Expr::attr("s"), CmpOp::Eq, Expr::attr("t"));
+        let clash = eq()
+            .and(Formula::cmp("s", CmpOp::Eq, "a"))
+            .and(Formula::cmp("t", CmpOp::Eq, "b"));
+        assert!(!is_satisfiable(&clash, &e));
+        let agree = eq()
+            .and(Formula::cmp("s", CmpOp::Eq, "a"))
+            .and(Formula::cmp("t", CmpOp::Eq, "a"));
+        assert!(is_satisfiable(&agree, &e));
+        assert!(implies(
+            &eq().and(Formula::cmp("s", CmpOp::Eq, "a")),
+            &Formula::cmp("t", CmpOp::Eq, "a"),
+            &e
+        ));
+        // The integer case, refuted by the difference bounds before.
+        let e = env().with("n", Type::Int);
+        let clash = Formula::Cmp(Expr::attr("trav_reimb"), CmpOp::Eq, Expr::attr("n"))
+            .and(Formula::cmp("trav_reimb", CmpOp::Eq, 1i64))
+            .and(Formula::cmp("n", CmpOp::Eq, 2i64));
+        assert!(!is_satisfiable(&clash, &e));
     }
 
     #[test]

@@ -242,6 +242,11 @@ impl Conj {
                             CmpOp::Eq => {
                                 self.diffs.push((p.clone(), q.clone(), c, false));
                                 self.diffs.push((q.clone(), p.clone(), -c, false));
+                                if c.get() == 0.0 {
+                                    // `p = q` also joins their domains,
+                                    // which the DBM ignores off numbers.
+                                    self.eqs.push((p.clone(), q.clone()));
+                                }
                             }
                             CmpOp::Ne => self.neqs.push((p.clone(), q.clone())),
                         }

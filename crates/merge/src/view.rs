@@ -1,12 +1,12 @@
 //! The integrated view: the merging orchestrator plus evaluation of
 //! formulas over global objects.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use interop_conform::Conformed;
 use interop_constraint::eval::{eval_formula_with, Truth};
 use interop_constraint::{Formula, Path};
-use interop_model::{AttrName, ClassName, Database, ObjectId, Value};
+use interop_model::{AttrName, ClassName, Database, FxHashMap, ObjectId, Value};
 
 use crate::fuse::{FuseResult, GlobalObject};
 use crate::hierarchy::{infer_hierarchy, Hierarchy};
@@ -117,33 +117,40 @@ impl IntegratedView {
     /// class, each carrying every attribute observed on its members
     /// (typed by the joined value kinds). Each global object is placed in
     /// one extent — the smallest class containing it (ties broken by
-    /// name) — while full memberships remain available on the view.
+    /// name), or `GlobalObject` when no class does — while full
+    /// memberships remain available on the view. Placement is one pass
+    /// over the extensions in (size, name) order, each object taking the
+    /// first class that lists it, and the database is built whole
+    /// ([`Database::from_objects`]).
     pub fn materialize(&self, db_name: &str, space: u32) -> Result<Database, MergeError> {
         use interop_model::{ClassDef, Schema, Type};
-        // Infer attribute types per class from member values.
-        let mut class_attrs: BTreeMap<ClassName, BTreeMap<AttrName, Type>> = BTreeMap::new();
+        let root = ClassName::new("GlobalObject");
         // Smallest containing class per object.
-        let mut placement: BTreeMap<interop_model::ObjectId, ClassName> = BTreeMap::new();
-        for g in self.objects.values() {
-            let mut best: Option<(usize, ClassName)> = None;
-            for (class, ext) in &self.hierarchy.extensions {
-                if ext.contains(&g.id) {
-                    let cand = (ext.len(), class.clone());
-                    best = Some(match best {
-                        None => cand,
-                        Some(b) if cand < b => cand,
-                        Some(b) => b,
-                    });
+        let mut placement: FxHashMap<ObjectId, Option<&ClassName>> =
+            self.objects.keys().map(|&id| (id, None)).collect();
+        let mut by_size: Vec<(&ClassName, &BTreeSet<ObjectId>)> =
+            self.hierarchy.extensions.iter().collect();
+        by_size.sort_by_key(|&(class, ext)| (ext.len(), class));
+        for (class, ext) in by_size {
+            for id in ext {
+                if let Some(slot @ None) = placement.get_mut(id) {
+                    *slot = Some(class);
                 }
             }
-            let class = best
-                .map(|(_, c)| c)
-                .unwrap_or_else(|| ClassName::new("GlobalObject"));
-            placement.insert(g.id, class.clone());
+        }
+        let place = |id: &ObjectId| placement.get(id).map(|class| class.unwrap_or(&root));
+        let placed: Vec<(&GlobalObject, &ClassName)> = self
+            .objects
+            .values()
+            .map(|g| (g, place(&g.id).unwrap_or(&root)))
+            .collect();
+        // Infer attribute types per class from member values.
+        let mut class_attrs: BTreeMap<&ClassName, BTreeMap<&AttrName, Type>> = BTreeMap::new();
+        for &(g, class) in &placed {
             let attrs = class_attrs.entry(class).or_default();
             for (a, v) in &g.attrs {
                 if let Some(t) = infer_value_type(v) {
-                    match attrs.entry(a.clone()) {
+                    match attrs.entry(a) {
                         std::collections::btree_map::Entry::Vacant(e) => {
                             e.insert(t);
                         }
@@ -158,65 +165,62 @@ impl IntegratedView {
         // References: type them as Ref(target's placement class); all
         // target classes must agree, else fall back to a shared root.
         let mut defs: Vec<ClassDef> = Vec::new();
-        let mut ref_types: BTreeMap<(ClassName, AttrName), ClassName> = BTreeMap::new();
-        for g in self.objects.values() {
-            let class = placement[&g.id].clone();
+        let mut ref_types: BTreeMap<(&ClassName, &AttrName), &ClassName> = BTreeMap::new();
+        for &(g, class) in &placed {
             for (a, v) in &g.attrs {
                 if let Value::Ref(target) = v {
-                    if let Some(tc) = placement.get(target) {
+                    if let Some(tc) = place(target) {
                         ref_types
-                            .entry((class.clone(), a.clone()))
+                            .entry((class, a))
                             .and_modify(|prev| {
-                                if prev != tc {
-                                    *prev = ClassName::new("GlobalObject");
+                                if *prev != tc {
+                                    *prev = &root;
                                 }
                             })
-                            .or_insert_with(|| tc.clone());
+                            .or_insert(tc);
                     }
                 }
             }
         }
         // Reference attributes carry no inferable scalar type; make sure
         // they still appear in their class's attribute list.
-        for (class, attr) in ref_types.keys() {
+        for &(class, attr) in ref_types.keys() {
             class_attrs
-                .entry(class.clone())
+                .entry(class)
                 .or_default()
-                .entry(attr.clone())
+                .entry(attr)
                 .or_insert(Type::Str); // placeholder; overridden by Ref below
         }
-        let needs_root = ref_types.values().any(|c| c.as_str() == "GlobalObject")
-            || placement.values().any(|c| c.as_str() == "GlobalObject");
+        let needs_root =
+            ref_types.values().any(|c| **c == root) || placed.iter().any(|(_, c)| **c == root);
         if needs_root {
             defs.push(ClassDef::new("GlobalObject"));
         }
-        for (class, attrs) in &class_attrs {
+        for (&class, attrs) in &class_attrs {
             let mut def = ClassDef::new(class.clone()).virt();
-            for (a, t) in attrs {
+            for (&a, t) in attrs {
                 let ty = ref_types
-                    .get(&(class.clone(), a.clone()))
-                    .map(|c| Type::Ref(c.clone()))
+                    .get(&(class, a))
+                    .map(|&c| Type::Ref(c.clone()))
                     .unwrap_or_else(|| t.clone());
                 def = def.attr(a.clone(), ty);
             }
             defs.push(def);
         }
         let schema = Schema::new(db_name, defs).map_err(|e| MergeError::Model(e.to_string()))?;
-        let mut out = Database::new(schema, space);
-        for g in self.objects.values() {
-            let class = &placement[&g.id];
+        let objects = placed.iter().map(|&(g, class)| {
+            // Drop attributes whose type could not be inferred class-wide
+            // (reference attributes were all added above).
             let known = &class_attrs[class];
             let mut obj = interop_model::Object::new(g.id, class.clone());
             for (a, v) in &g.attrs {
-                // Drop attributes whose type could not be inferred class-wide.
-                if known.contains_key(a) || ref_types.contains_key(&(class.clone(), a.clone())) {
+                if known.contains_key(a) {
                     obj.set(a.clone(), v.clone());
                 }
             }
-            out.insert(obj)
-                .map_err(|e| MergeError::Model(e.to_string()))?;
-        }
-        Ok(out)
+            obj
+        });
+        Database::from_objects(schema, space, objects).map_err(|e| MergeError::Model(e.to_string()))
     }
 }
 

@@ -45,12 +45,74 @@ impl Database {
     /// created by this database and must be unique among cooperating
     /// databases (the integration layer relies on it).
     pub fn new(schema: Schema, space: u32) -> Self {
+        Database::with_schema(Arc::new(schema), space)
+    }
+
+    /// Builds a whole database from `objects` in one pass: what an
+    /// empty [`Database::new`] followed by [`Database::insert`] of each
+    /// object in turn yields, or that loop's first error. Each object is
+    /// type-checked as `insert` does, a repeated id is refused, and the
+    /// extents keep the input order; the object map is built bottom-up
+    /// ([`PMap::from_sorted`]) after one sort by id, none when the ids
+    /// already ascend. An object passed as an `Arc` is kept as that
+    /// `Arc`, not copied.
+    pub fn from_objects<O: Into<Arc<Object>>>(
+        schema: impl Into<Arc<Schema>>,
+        space: u32,
+        objects: impl IntoIterator<Item = O>,
+    ) -> Result<Database> {
+        let mut db = Database::with_schema(schema.into(), space);
+        let objects = objects.into_iter();
+        // (id, input position, object); the position orders repeats.
+        let mut entries: Vec<(ObjectId, usize, Arc<Object>)> =
+            Vec::with_capacity(objects.size_hint().0);
+        let mut ascending = true;
+        let mut refused = None;
+        for (pos, obj) in objects.enumerate() {
+            let obj: Arc<Object> = obj.into();
+            if let Err(e) = db.typecheck(&obj) {
+                refused = Some(e);
+                break;
+            }
+            ascending &= entries.last().is_none_or(|(last, ..)| *last < obj.id);
+            Arc::make_mut(
+                db.extents
+                    .get_mut(&obj.class)
+                    .expect("typechecked class has extent"),
+            )
+            .push(obj.id);
+            db.next_serial = db.next_serial.max(obj.id.serial() + 1);
+            entries.push((obj.id, pos, obj));
+        }
+        if !ascending {
+            entries.sort_unstable_by_key(|&(id, pos, _)| (id, pos));
+            // The insert loop stops at the earliest repeat in input
+            // order, which comes before any refused object.
+            let repeat = entries
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0)
+                .map(|w| (w[1].1, w[1].0))
+                .min();
+            if let Some((_, id)) = repeat {
+                return Err(ModelError::DuplicateObject(id));
+            }
+        }
+        if let Some(e) = refused {
+            return Err(e);
+        }
+        db.objects = PMap::from_sorted(entries.into_iter().map(|(id, _, obj)| (id, obj)))
+            .expect("ids sorted and free of repeats above");
+        Ok(db)
+    }
+
+    /// An empty database over a shared schema.
+    fn with_schema(schema: Arc<Schema>, space: u32) -> Self {
         let extents = schema
             .class_names()
             .map(|c| (c.clone(), Arc::default()))
             .collect();
         Database {
-            schema: Arc::new(schema),
+            schema,
             space,
             next_serial: 0,
             objects: PMap::new(),
@@ -196,6 +258,13 @@ impl Database {
     /// All objects, in id order.
     pub fn objects(&self) -> impl Iterator<Item = &Object> {
         self.objects.values().map(|o| &**o)
+    }
+
+    /// All objects as the `Arc`s the database holds, in id order: a
+    /// whole build ([`Database::from_objects`]) can keep the objects it
+    /// leaves unchanged without copying them.
+    pub fn shared_objects(&self) -> impl Iterator<Item = &Arc<Object>> {
+        self.objects.values()
     }
 
     /// Number of objects.

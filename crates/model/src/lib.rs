@@ -47,6 +47,18 @@
 //!   [`Database`]) is O(1) because the copies share nodes behind `Arc`,
 //!   but a write to either copy first copies the nodes it touches
 //!   (`Arc::make_mut`), so no write is ever visible through the other.
+//! * **A map built whole is the insert-built map**: [`PMap::from_sorted`]
+//!   and `collect()` build bottom-up, with fuller nodes, a map equal to
+//!   the one an `insert` loop over the same entries builds in contents
+//!   and key order, and it passes the same shape rules
+//!   ([`PMap::check_structure`]); unsorted or repeated input to
+//!   `from_sorted` is an error ([`NotAscending`]), never a panic.
+//! * **A database built whole is the insert loop's database**:
+//!   [`Database::from_objects`] returns exactly what [`Database::new`]
+//!   followed by [`Database::insert`] of each object in order returns —
+//!   the same objects, extents in the same order and the same next
+//!   serial, or the same first error (type mismatch, unknown class or
+//!   attribute, repeated id).
 //!
 //! # Example
 //!
@@ -88,7 +100,7 @@ pub use error::ModelError;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ident::{AttrName, ClassName, DbName};
 pub use object::{AttrMap, Object, ObjectId};
-pub use pmap::PMap;
+pub use pmap::{NotAscending, PMap};
 pub use schema::{AttrDef, ClassDef, Schema};
 pub use types::Type;
 pub use value::{Value, R64};

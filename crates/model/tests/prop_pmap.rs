@@ -5,11 +5,14 @@
 //! must match its oracle in contents, key order, length and `Debug`
 //! text and pass the structural self-check, and every other version
 //! must still equal its own oracle (persistence: a write to one clone
-//! is never visible through another).
+//! is never visible through another). Maps built whole
+//! ([`PMap::from_sorted`], `collect`) must equal the map an insert loop
+//! builds, pass the same shape check, and stay equal under the same
+//! random writes.
 
 use std::collections::BTreeMap;
 
-use interop_model::PMap;
+use interop_model::{NotAscending, PMap};
 use proptest::prelude::*;
 
 /// One step of a sequence, decoded from a raw `(kind, key, value)`.
@@ -57,8 +60,18 @@ fn check_version(map: &PMap<u16, u32>, oracle: &BTreeMap<u16, u32>) -> Result<()
 }
 
 fn run(raw: Vec<(u8, u16, u32)>, remove_heavy: bool) -> Result<(), TestCaseError> {
-    let mut versions: Vec<(PMap<u16, u32>, BTreeMap<u16, u32>)> =
-        vec![(PMap::new(), BTreeMap::new())];
+    run_from(PMap::new(), BTreeMap::new(), raw, remove_heavy)
+}
+
+/// [`run`] from a given first version and its oracle.
+fn run_from(
+    map: PMap<u16, u32>,
+    oracle: BTreeMap<u16, u32>,
+    raw: Vec<(u8, u16, u32)>,
+    remove_heavy: bool,
+) -> Result<(), TestCaseError> {
+    check_version(&map, &oracle)?;
+    let mut versions: Vec<(PMap<u16, u32>, BTreeMap<u16, u32>)> = vec![(map, oracle)];
     let mut cur = 0;
     let mut retire = 0;
     for raw_step in raw {
@@ -117,6 +130,15 @@ fn run(raw: Vec<(u8, u16, u32)>, remove_heavy: bool) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// The map an insert loop builds from `entries`.
+fn inserted<K: Ord + Clone, V: Clone>(entries: impl IntoIterator<Item = (K, V)>) -> PMap<K, V> {
+    let mut map = PMap::new();
+    for (k, v) in entries {
+        map.insert(k, v);
+    }
+    map
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -129,6 +151,99 @@ proptest! {
     fn remove_heavy_sequences_empty_the_map_and_refill_it(raw in raw_steps(120)) {
         run(raw, true)?;
     }
+
+    /// A map built whole takes the same writes, on it and on its
+    /// clones, as the insert-built map's oracle.
+    #[test]
+    fn whole_built_maps_stay_equal_under_random_writes(
+        len in 0usize..400,
+        raw in raw_steps(400),
+        remove_heavy in any::<bool>(),
+    ) {
+        let oracle: BTreeMap<u16, u32> = (0..len as u16).map(|k| (k, u32::from(k) * 3)).collect();
+        let map = PMap::from_sorted(oracle.clone()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        run_from(map, oracle, raw, remove_heavy)?;
+    }
+
+    /// `from_sorted` accepts exactly the strictly ascending inputs and
+    /// names the first entry out of order; `collect` takes any order and
+    /// keeps the last of equal keys, as an insert loop does.
+    #[test]
+    fn unsorted_or_repeated_input_is_refused(keys in prop::collection::vec(0u16..64, 0..80)) {
+        let entries: Vec<(u16, usize)> = keys.iter().copied().zip(0..).collect();
+        let first_bad = keys.windows(2).position(|w| w[0] >= w[1]).map(|i| i + 1);
+        match PMap::from_sorted(entries.clone()) {
+            Ok(map) => {
+                prop_assert_eq!(first_bad, None);
+                prop_assert!(map.iter().eq(inserted(entries.clone()).iter()));
+            }
+            Err(NotAscending { index }) => prop_assert_eq!(first_bad, Some(index)),
+        }
+        let collected: PMap<u16, usize> = entries.iter().copied().collect();
+        let oracle: BTreeMap<u16, usize> = entries.iter().copied().collect();
+        check_version_of(&collected, &oracle)?;
+    }
+}
+
+/// [`check_version`] for any key and value types.
+fn check_version_of<K, V>(map: &PMap<K, V>, oracle: &BTreeMap<K, V>) -> Result<(), TestCaseError>
+where
+    K: Ord + std::fmt::Debug,
+    V: PartialEq + std::fmt::Debug,
+{
+    prop_assert_eq!(map.len(), oracle.len());
+    prop_assert!(map.iter().eq(oracle.iter()), "contents or order differ");
+    prop_assert_eq!(format!("{map:?}"), format!("{oracle:?}"));
+    map.check_structure().map_err(TestCaseError::fail)
+}
+
+/// Every size up to 300, and the sizes on either side of the points
+/// where a whole build gains a level (12, 144 and 1728 entries are the
+/// fewest that take two, three and four levels), equals the
+/// insert-built map in contents, order and `Debug` text and passes the
+/// shape check; so does every clone written to afterwards.
+#[test]
+fn whole_builds_equal_insert_builds_at_every_size() {
+    let sizes = (0..=300).chain([1_727, 1_728, 1_729, 5_000]);
+    for n in sizes {
+        let entries: Vec<(u32, u32)> = (0..n).map(|k| (k * 2, k)).collect();
+        let oracle: BTreeMap<u32, u32> = entries.iter().copied().collect();
+        let by_insert = inserted(entries.clone());
+        let whole = PMap::from_sorted(entries.clone()).unwrap();
+        let collected: PMap<u32, u32> = entries.iter().rev().copied().collect();
+        for map in [&by_insert, &whole, &collected] {
+            map.check_structure()
+                .unwrap_or_else(|e| panic!("size {n}: {e}"));
+            assert!(map.iter().eq(oracle.iter()), "size {n}");
+            assert_eq!(format!("{map:?}"), format!("{oracle:?}"), "size {n}");
+        }
+        // Writes on a clone and on the original: an insert past the end
+        // (into a full rightmost leaf), a removal at the front, an update
+        // in the middle.
+        let mut a = whole.clone();
+        let mut b = whole.clone();
+        let mut oracle_a = oracle.clone();
+        let mut oracle_b = oracle.clone();
+        a.insert(2 * n + 1, 7);
+        oracle_a.insert(2 * n + 1, 7);
+        b.insert(1, 9);
+        oracle_b.insert(1, 9);
+        assert_eq!(a.remove(&0), oracle_a.remove(&0), "size {n}");
+        if let (Some(x), Some(y)) = (b.get_mut(&n), oracle_b.get_mut(&n)) {
+            *x += 1;
+            *y += 1;
+        }
+        for (map, oracle) in [(&a, &oracle_a), (&b, &oracle_b), (&whole, &oracle)] {
+            map.check_structure()
+                .unwrap_or_else(|e| panic!("size {n} after writes: {e}"));
+            assert!(map.iter().eq(oracle.iter()), "size {n} after writes");
+        }
+    }
+    assert!(PMap::from_sorted([(1, 1), (1, 2)]).is_err());
+    assert_eq!(
+        PMap::from_sorted([(1, 1), (3, 2), (2, 3)]).map(|m| m.len()),
+        Err(NotAscending { index: 2 })
+    );
 }
 
 /// A deterministic deep tree: grow well past three levels, clone, then

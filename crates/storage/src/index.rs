@@ -39,6 +39,23 @@ impl KeyIndex {
         }
     }
 
+    /// Builds the index over `objects` whole: what a
+    /// [`KeyIndex::insert`] loop over them yields with its collisions
+    /// ignored, so a key several objects hold keeps the first of them
+    /// and null keys stay out. It sorts the (key, id) pairs once and
+    /// builds the map bottom-up.
+    pub fn build<'a>(attrs: Vec<AttrName>, objects: impl IntoIterator<Item = &'a Object>) -> Self {
+        let mut idx = KeyIndex::new(attrs);
+        let pairs: Vec<(Vec<Value>, ObjectId)> = objects
+            .into_iter()
+            .filter_map(|obj| Some((idx.key_of(obj)?, obj.id)))
+            .collect();
+        // Collecting keeps the last of equal keys; reversed, that is the
+        // first holder.
+        idx.map = pairs.into_iter().rev().collect();
+        idx
+    }
+
     /// The key attributes.
     pub fn attrs(&self) -> &[AttrName] {
         &self.attrs
@@ -388,6 +405,44 @@ mod tests {
         assert_eq!(idx.postings(&key), &[ObjectId::new(1, 2)]);
         let int_key = canon_key(&Value::Int(i64::MAX)).unwrap();
         assert_eq!(idx.postings(&int_key), &[ObjectId::new(1, 1)]);
+    }
+
+    #[test]
+    fn whole_build_matches_the_insert_loop() {
+        // Two-attribute keys over few values, so keys collide often, and
+        // a null in either attribute now and then; ids in a scrambled
+        // order, so the first holder is not always the smallest id.
+        let attrs = vec![AttrName::new("isbn"), AttrName::new("ed")];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for n in 0..120u64 {
+            let objects: Vec<Object> = (0..n)
+                .map(|i| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let serial = (i * 37) % (n + 1);
+                    let mut o = Object::new(ObjectId::new(1, serial), ClassName::new("Item"));
+                    if !state.is_multiple_of(9) {
+                        o.set("isbn", Value::str(format!("i{}", state % 13)));
+                    }
+                    if !state.is_multiple_of(11) {
+                        o.set("ed", Value::int(((state >> 8) % 3) as i64));
+                    }
+                    o
+                })
+                .collect();
+            let mut by_insert = KeyIndex::new(attrs.clone());
+            for o in &objects {
+                let _ = by_insert.insert(o);
+            }
+            let whole = KeyIndex::build(attrs.clone(), &objects);
+            assert_eq!(
+                format!("{whole:?}"),
+                format!("{by_insert:?}"),
+                "{n} objects"
+            );
+            whole.map.check_structure().unwrap();
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! the [`CompositePolicy`] admits a recurring, sufficiently-selective
 //! equality-atom pair reported by the cost model.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -476,22 +477,42 @@ impl Store {
     /// objects are indexed (and trusted to satisfy the constraints —
     /// callers loading untrusted data should [`Store::check_all`]).
     pub fn new(db: Database, catalog: Catalog) -> Self {
-        let mut indexes = IndexSet::new();
+        // Key attributes per class; a later key on a class replaces an
+        // earlier one.
+        let mut keys: BTreeMap<ClassName, Vec<AttrName>> = BTreeMap::new();
         for cc in catalog.all_class() {
             if let interop_constraint::ClassConstraintBody::Key(attrs) = &cc.body {
-                indexes.insert(cc.class.clone(), KeyIndex::new(attrs.clone()));
+                keys.insert(cc.class.clone(), attrs.clone());
             }
         }
-        // Index existing objects (a collision keeps the first holder).
-        if !indexes.is_empty() {
-            for obj in db.objects() {
-                let ancestors = db.schema.self_and_ancestors(&obj.class);
-                let class = ancestors.iter().find(|c| indexes.contains_key(*c));
-                if let Some(idx) = class.and_then(|c| indexes.get_mut(c)) {
-                    let _ = idx.insert(obj);
+        // Each class's objects go to the index of its nearest keyed
+        // ancestor-or-self, resolved once per class; each index is then
+        // built whole (a collision keeps the first holder).
+        let mut slot_of: FxHashMap<&ClassName, usize> = FxHashMap::default();
+        if !keys.is_empty() {
+            for class in db.schema.class_names() {
+                let ancestors = db.schema.self_and_ancestors(class);
+                let slot = ancestors
+                    .iter()
+                    .find_map(|c| keys.keys().position(|k| k == c));
+                if let Some(slot) = slot {
+                    slot_of.insert(class, slot);
                 }
             }
         }
+        let mut members: Vec<Vec<&Object>> = vec![Vec::new(); keys.len()];
+        if !slot_of.is_empty() {
+            for obj in db.objects() {
+                if let Some(&slot) = slot_of.get(&obj.class) {
+                    members[slot].push(obj);
+                }
+            }
+        }
+        let indexes: IndexSet = keys
+            .into_iter()
+            .zip(members)
+            .map(|((class, attrs), objects)| (class, KeyIndex::build(attrs, objects)))
+            .collect();
         Store {
             db,
             catalog: Arc::new(catalog),
@@ -1638,6 +1659,80 @@ mod tests {
             vec!["isbn"],
         ));
         Store::new(db, cat)
+    }
+
+    #[test]
+    fn new_builds_each_key_index_as_the_insert_loop_did() {
+        let schema = Schema::new(
+            "Shop",
+            vec![
+                ClassDef::new("Item")
+                    .attr("isbn", Type::Str)
+                    .attr("code", Type::Int),
+                ClassDef::new("Proceedings").isa("Item"),
+                ClassDef::new("Workshop").isa("Proceedings"),
+                ClassDef::new("Monograph").isa("Item"),
+                ClassDef::new("Shelf").attr("label", Type::Str),
+                ClassDef::new("Loose").attr("label", Type::Str),
+            ],
+        )
+        .unwrap();
+        let dbn = DbName::new("Shop");
+        let key = |class: &str, id: &str, attrs: Vec<&str>| {
+            interop_constraint::ClassConstraint::key(
+                ConstraintId::new(&dbn, &ClassName::new(class), id),
+                class,
+                attrs,
+            )
+        };
+        let mut cat = Catalog::new();
+        cat.add_class(key("Item", "cc1", vec!["isbn"]));
+        // Workshops index under Proceedings, the nearest keyed ancestor.
+        cat.add_class(key("Proceedings", "cc1", vec!["isbn", "code"]));
+        // A second key on a class replaces the first; a key on a class
+        // the schema lacks indexes nothing.
+        cat.add_class(key("Shelf", "cc1", vec!["isbn"]));
+        cat.add_class(key("Shelf", "cc2", vec!["label"]));
+        cat.add_class(key("Ghost", "cc1", vec!["label"]));
+        let classes = [
+            "Item",
+            "Proceedings",
+            "Workshop",
+            "Monograph",
+            "Shelf",
+            "Loose",
+        ];
+        let mut db = Database::new(schema, 1);
+        for i in 0..300u64 {
+            let class = classes[(i % 6) as usize];
+            let mut o = Object::new(ObjectId::new(1, (i * 7) % 307), ClassName::new(class));
+            if class == "Shelf" || class == "Loose" {
+                o.set("label", Value::str(format!("l{}", i % 17)));
+            } else {
+                if i % 10 != 0 {
+                    o.set("isbn", Value::str(format!("i{}", i % 23)));
+                }
+                o.set("code", Value::int((i % 4) as i64));
+            }
+            db.insert(o).unwrap();
+        }
+        // The loop `Store::new` ran before it built indexes whole.
+        let mut want = IndexSet::new();
+        for cc in cat.all_class() {
+            if let interop_constraint::ClassConstraintBody::Key(attrs) = &cc.body {
+                want.insert(cc.class.clone(), KeyIndex::new(attrs.clone()));
+            }
+        }
+        for obj in db.objects() {
+            let ancestors = db.schema.self_and_ancestors(&obj.class);
+            if let Some(c) = ancestors.iter().find(|c| want.contains_key(*c)) {
+                let _ = want.get_mut(c).unwrap().insert(obj);
+            }
+        }
+        let s = Store::new(db, cat);
+        assert_eq!(format!("{:?}", s.indexes), format!("{want:?}"));
+        assert_eq!(s.indexes.len(), 4);
+        s.indexes.check_structure().unwrap();
     }
 
     #[test]
