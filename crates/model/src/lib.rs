@@ -52,7 +52,9 @@
 //!   the one an `insert` loop over the same entries builds in contents
 //!   and key order, and it passes the same shape rules
 //!   ([`PMap::check_structure`]); unsorted or repeated input to
-//!   `from_sorted` is an error ([`NotAscending`]), never a panic.
+//!   `from_sorted` is an error ([`NotAscending`]), never a panic. Of
+//!   equal keys, `collect()` keeps the last entry whole, as std's
+//!   `BTreeMap` does, where the loop keeps the first key.
 //! * **A database built whole is the insert loop's database**:
 //!   [`Database::from_objects`] returns exactly what [`Database::new`]
 //!   followed by [`Database::insert`] of each object in order returns —

@@ -641,22 +641,19 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for PMap<K, V> {
 }
 
 impl<K: Ord, V> FromIterator<(K, V)> for PMap<K, V> {
-    /// Builds the map whole: one stable sort by key, the last of equal
-    /// keys kept (as an insert loop keeps it), then
+    /// Builds the map whole, as std's `BTreeMap` does: one stable sort
+    /// by key, the last entry of equal keys kept, then
     /// [`PMap::from_sorted`]'s bottom-up build. The sort costs O(n) on
-    /// entries that already ascend.
+    /// entries that already ascend or descend. An insert loop keeps the
+    /// same values but the first of equal keys, which differs only for
+    /// keys that compare equal yet print apart, such as `-0.0` and `0.0`.
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut items: Vec<(K, V)> = iter.into_iter().collect();
+        // Reversed, the stable sort puts the last of equal keys first,
+        // and `dedup_by` keeps the first of each run.
+        items.reverse();
         items.sort_by(|a, b| a.0.cmp(&b.0));
-        // `dedup_by` keeps the first of a run; move the later value
-        // into it before the later entry is dropped.
-        items.dedup_by(|later, kept| {
-            let same = later.0.cmp(&kept.0).is_eq();
-            if same {
-                std::mem::swap(&mut later.1, &mut kept.1);
-            }
-            same
-        });
+        items.dedup_by(|a, b| a.0 == b.0);
         PMap::from_ascending(items)
     }
 }

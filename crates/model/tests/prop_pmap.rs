@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use interop_model::{NotAscending, PMap};
+use interop_model::{NotAscending, PMap, R64};
 use proptest::prelude::*;
 
 /// One step of a sequence, decoded from a raw `(kind, key, value)`.
@@ -167,7 +167,7 @@ proptest! {
 
     /// `from_sorted` accepts exactly the strictly ascending inputs and
     /// names the first entry out of order; `collect` takes any order and
-    /// keeps the last of equal keys, as an insert loop does.
+    /// keeps the value of the last of equal keys, as an insert loop does.
     #[test]
     fn unsorted_or_repeated_input_is_refused(keys in prop::collection::vec(0u16..64, 0..80)) {
         let entries: Vec<(u16, usize)> = keys.iter().copied().zip(0..).collect();
@@ -244,6 +244,20 @@ fn whole_builds_equal_insert_builds_at_every_size() {
         PMap::from_sorted([(1, 1), (3, 2), (2, 3)]).map(|m| m.len()),
         Err(NotAscending { index: 2 })
     );
+}
+
+/// Of keys that compare equal but print apart, `collect` keeps the last
+/// entry whole, key and value, as std's `BTreeMap` does; an insert loop
+/// keeps the first key with the last value.
+#[test]
+fn collect_keeps_the_last_of_equal_keys_whole() {
+    let entries = [(R64::new(-0.0), 1), (R64::new(1.0), 2), (R64::new(0.0), 3)];
+    let collected: PMap<R64, u32> = entries.into_iter().collect();
+    let std_map: BTreeMap<R64, u32> = entries.into_iter().collect();
+    assert_eq!(format!("{collected:?}"), format!("{std_map:?}"));
+    assert_eq!(format!("{collected:?}"), "{0: 3, 1: 2}");
+    let by_insert = inserted(entries);
+    assert_eq!(format!("{by_insert:?}"), "{-0: 3, 1: 2}");
 }
 
 /// A deterministic deep tree: grow well past three levels, clone, then
