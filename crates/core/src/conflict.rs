@@ -2,16 +2,18 @@
 //! instance-level conflicts on the integrated view.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 
 use interop_conform::Conformed;
-use interop_constraint::eval::Truth;
+use interop_constraint::eval::{eval_formula_with, Truth};
 use interop_constraint::solve::{conjunction_unsat, implies, TypeEnv};
-use interop_constraint::{ConstraintId, Formula, Path, Status};
+use interop_constraint::{CmpOp, ConstraintId, Expr, Formula, Path, Status};
 use interop_merge::{GlobalObject, IntegratedView};
 use interop_model::fx::FxHashMap;
-use interop_model::{ClassName, ObjectId};
+use interop_model::{ClassName, ObjectId, Value};
 use interop_spec::{DfKind, RuleId, Side};
 
 use crate::derive::{DerivedConstraint, GlobalConstraints, Scope};
@@ -251,13 +253,17 @@ fn implicit_conflicts(
     }
 }
 
-/// §5.2.1's instance check, column at a time. Each derived constraint
-/// compiles once to a [`Skeleton`] over one table of interned atoms. Each
-/// distinct scope lists its members once, and evaluates each atom its
-/// constraints use once per member, into a column of [`Truth`]. A
-/// constraint's verdict then combines its atoms' columns with Kleene
-/// `min`/`max`. Violations come out constraint-major in `global.object`
-/// order, each constraint's members in extension order.
+/// §5.2.1's instance check, column at a time, over the constraints that
+/// can fail. Each derived constraint compiles once to a [`Skeleton`] over
+/// one table of interned atoms, and a constraint whose skeleton cannot be
+/// `False` on any member ([`Skeleton::range`]) is dropped before any
+/// object is read. Each distinct scope lists its members once and reads
+/// each member's paths (those of its constraints' atoms) once, through
+/// [`IntegratedView::get_path`]. Each atom is then evaluated by the
+/// shared `eval_formula_with` over those gathered values, into a column
+/// of [`Truth`], and a constraint's verdict combines its atoms' columns
+/// with Kleene `min`/`max`. Violations come out constraint-major in
+/// `global.object` order, each constraint's members in extension order.
 fn instance_violations(out: &mut Vec<Conflict>, global: &GlobalConstraints, view: &IntegratedView) {
     let mut atoms = Atoms::default();
     let skeletons: Vec<Skeleton> = global
@@ -267,7 +273,9 @@ fn instance_violations(out: &mut Vec<Conflict>, global: &GlobalConstraints, view
         .collect();
     let mut by_scope: BTreeMap<&Scope, Vec<usize>> = BTreeMap::new();
     for (i, d) in global.object.iter().enumerate() {
-        by_scope.entry(&d.scope).or_default().push(i);
+        if skeletons[i].range(&atoms).0 == Truth::False {
+            by_scope.entry(&d.scope).or_default().push(i);
+        }
     }
     let mut violations: Vec<(usize, ObjectId)> = Vec::new();
     for (scope, constraints) in by_scope {
@@ -275,19 +283,18 @@ fn instance_violations(out: &mut Vec<Conflict>, global: &GlobalConstraints, view
         if members.is_empty() {
             continue;
         }
-        // Columns live for one scope; an empty column is an atom no
-        // constraint of the scope uses.
-        let mut columns: Vec<Vec<Truth>> = vec![Vec::new(); atoms.table.len()];
+        // The atoms the scope's constraints use, each once. Their columns
+        // live for one scope.
+        let mut seen = vec![false; atoms.table.len()];
+        let mut used: Vec<usize> = Vec::new();
         for &i in &constraints {
             skeletons[i].for_each_atom(&mut |a| {
-                if columns[a].is_empty() {
-                    columns[a] = members
-                        .iter()
-                        .map(|o| view.eval(o, atoms.table[a]))
-                        .collect();
+                if !std::mem::replace(&mut seen[a], true) {
+                    used.push(a);
                 }
             });
         }
+        let columns = atoms.columns(view, &members, &used);
         let mut verdict = vec![Truth::Unknown; members.len()];
         for &i in &constraints {
             skeletons[i].fill(&columns, &mut verdict);
@@ -326,20 +333,28 @@ fn instance_conflict(d: &DerivedConstraint, object: ObjectId) -> Conflict {
 /// objects of `l` with both sides that are also in `r`; `LocalOnly` and
 /// `RemoteOnly` take the objects without a remote or a local side.
 fn scope_members<'v>(view: &'v IntegratedView, scope: &Scope) -> Vec<&'v GlobalObject> {
-    let mut members = view.extension(match scope {
-        Scope::All(c) | Scope::LocalOnly(c) | Scope::RemoteOnly(c) | Scope::Merged(c, _) => c,
-    });
     match scope {
-        Scope::All(_) => {}
-        Scope::Merged(_, rc) => {
-            let remote_ext = view.hierarchy.extension(rc);
+        Scope::All(c) => view.extension(c),
+        // Both extensions are sorted sets, so one walk over the pair
+        // replaces a lookup in `r`'s per member of `l`.
+        Scope::Merged(lc, rc) => view
+            .hierarchy
+            .extension(lc)
+            .intersection(view.hierarchy.extension(rc))
+            .filter_map(|id| view.objects.get(id))
+            .filter(|o| o.local.is_some() && o.remote.is_some())
+            .collect(),
+        Scope::LocalOnly(c) => {
+            let mut members = view.extension(c);
+            members.retain(|o| o.remote.is_none());
             members
-                .retain(|o| o.local.is_some() && o.remote.is_some() && remote_ext.contains(&o.id));
         }
-        Scope::LocalOnly(_) => members.retain(|o| o.remote.is_none()),
-        Scope::RemoteOnly(_) => members.retain(|o| o.local.is_none()),
+        Scope::RemoteOnly(c) => {
+            let mut members = view.extension(c);
+            members.retain(|o| o.local.is_none());
+            members
+        }
     }
-    members
 }
 
 /// The distinct atoms (`Cmp`, `In`, `Contains` leaves) of a constraint
@@ -347,6 +362,8 @@ fn scope_members<'v>(view: &'v IntegratedView, scope: &Scope) -> Vec<&'v GlobalO
 #[derive(Default)]
 struct Atoms<'f> {
     table: Vec<&'f Formula>,
+    /// The distinct paths each atom reads.
+    paths: Vec<Vec<Path>>,
     index: FxHashMap<&'f Formula, usize>,
 }
 
@@ -366,10 +383,89 @@ impl<'f> Atoms<'f> {
                 let id = *self.index.entry(f).or_insert(next);
                 if id == next {
                     self.table.push(f);
+                    self.paths.push(f.paths().into_iter().collect());
                 }
                 Skeleton::Atom(id)
             }
         }
+    }
+
+    /// The truth columns of the atoms `used` over `members`; any other
+    /// atom's column is empty. Each member's paths (the distinct ones
+    /// those atoms read) are navigated once, and each atom is evaluated
+    /// by `eval_formula_with` over the gathered values.
+    fn columns(
+        &self,
+        view: &IntegratedView,
+        members: &[&GlobalObject],
+        used: &[usize],
+    ) -> Vec<Vec<Truth>> {
+        // For each used atom, where its paths sit in a member's row.
+        let mut paths: Vec<&Path> = Vec::new();
+        let slots: Vec<Vec<(&Path, usize)>> = used
+            .iter()
+            .map(|&a| {
+                self.paths[a]
+                    .iter()
+                    .map(|p| match paths.iter().position(|q| *q == p) {
+                        Some(slot) => (p, slot),
+                        None => {
+                            paths.push(p);
+                            (p, paths.len() - 1)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut columns: Vec<Vec<Truth>> = vec![Vec::new(); self.table.len()];
+        for &a in used {
+            columns[a].reserve_exact(members.len());
+        }
+        let mut row: Vec<Value> = Vec::with_capacity(paths.len());
+        for o in members {
+            row.clear();
+            row.extend(paths.iter().map(|p| view.get_path(o, p)));
+            for (&a, atom_slots) in used.iter().zip(&slots) {
+                let Ok(t) = eval_formula_with(self.table[a], &mut |p| {
+                    Ok::<_, Infallible>(
+                        atom_slots
+                            .iter()
+                            .find(|(q, _)| *q == p)
+                            .map_or(Value::Null, |&(_, slot)| row[slot].clone()),
+                    )
+                });
+                columns[a].push(t);
+            }
+        }
+        columns
+    }
+
+    /// The path and constant an atom binds with `=`, either operand
+    /// order: `p = c` and `c = p` both bind `p` to `c`.
+    fn equality(&self, g: &Skeleton) -> Option<(&'f Path, &'f Value)> {
+        let Skeleton::Atom(a) = g else { return None };
+        match self.table[*a] {
+            Formula::Cmp(Expr::Attr(p), CmpOp::Eq, Expr::Const(c))
+            | Formula::Cmp(Expr::Const(c), CmpOp::Eq, Expr::Attr(p)) => Some((p, c)),
+            _ => None,
+        }
+    }
+
+    /// True when no member can make every atom of `conjuncts` `True`
+    /// because two of them bind one path with `=` to constants that do
+    /// not compare equal. The value at that path would have to compare
+    /// equal to both, yet `Equal` is transitive (numbers compare as their
+    /// `R64` images, other kinds structurally), mixed kinds never compare
+    /// equal, and a `Null` side leaves the atom `Unknown`.
+    fn exclusive(&self, conjuncts: &[Skeleton]) -> bool {
+        conjuncts.iter().enumerate().any(|(i, g)| {
+            self.equality(g).is_some_and(|(p, c)| {
+                conjuncts[i + 1..]
+                    .iter()
+                    .filter_map(|h| self.equality(h))
+                    .any(|(q, d)| p == q && c.compare(d) != Some(Ordering::Equal))
+            })
+        })
     }
 }
 
@@ -384,6 +480,50 @@ enum Skeleton {
 }
 
 impl Skeleton {
+    /// The truths the skeleton can take on any member, as an interval
+    /// `(lo, hi)` of the order `False < Unknown < True`; a constraint can
+    /// fail only if `lo` is `False`. An atom can take any truth and a
+    /// constant its own; the connectives apply Kleene's rules to the
+    /// bounds, so `Not` swaps them, an `And` is `True` only if every
+    /// child can be, an `Or` is `False` only if every child can be, and
+    /// `a implies b` is `False` only if `a` can be `True` and `b`
+    /// `False`. One rule looks at the atoms themselves: an `And` whose
+    /// atom children are [`Atoms::exclusive`] cannot be `True`.
+    ///
+    /// The pass reads neither data nor declared types. Fused values
+    /// leave the declared types (`avg` of two integer scores on a
+    /// `Range(1, 10)` is 5.5), so a tautology under the types, as the
+    /// solver would prove it, could still fail on a global object.
+    fn range(&self, atoms: &Atoms) -> (Truth, Truth) {
+        match self {
+            Skeleton::Const(t) => (*t, *t),
+            Skeleton::Atom(_) => (Truth::False, Truth::True),
+            Skeleton::Not(g) => {
+                let (lo, hi) = g.range(atoms);
+                (hi.not(), lo.not())
+            }
+            Skeleton::And(gs) => {
+                let (lo, hi) = gs.iter().fold((Truth::True, Truth::True), |(lo, hi), g| {
+                    let (glo, ghi) = g.range(atoms);
+                    (lo.and(glo), hi.and(ghi))
+                });
+                if atoms.exclusive(gs) {
+                    (lo, hi.and(Truth::Unknown))
+                } else {
+                    (lo, hi)
+                }
+            }
+            Skeleton::Or(gs) => gs.iter().fold((Truth::False, Truth::False), |(lo, hi), g| {
+                let (glo, ghi) = g.range(atoms);
+                (lo.or(glo), hi.or(ghi))
+            }),
+            Skeleton::Implies(a, b) => {
+                let ((alo, ahi), (blo, bhi)) = (a.range(atoms), b.range(atoms));
+                (ahi.not().or(blo), alo.not().or(bhi))
+            }
+        }
+    }
+
     fn for_each_atom(&self, f: &mut impl FnMut(usize)) {
         match self {
             Skeleton::Const(_) => {}
@@ -764,6 +904,152 @@ mod tests {
         );
     }
 
+    /// Can `f` be `False` on some member, by the liveness pass?
+    fn live(f: &Formula) -> bool {
+        let mut atoms = Atoms::default();
+        let skeleton = atoms.compile(f);
+        skeleton.range(&atoms).0 == Truth::False
+    }
+
+    #[test]
+    fn only_constraints_that_can_fail_are_checked() {
+        use interop_constraint::CmpOp;
+        let eq = |p: &str, c: Value| Formula::Cmp(Expr::attr(p), CmpOp::Eq, Expr::Const(c));
+        let eq_rev = |p: &str, c: Value| Formula::Cmp(Expr::Const(c), CmpOp::Eq, Expr::attr(p));
+        let real = Value::real;
+        let rule = |premise: Formula| premise.implies(Formula::cmp("s", CmpOp::Ge, 9i64));
+        let (int, text) = (Value::Int, |t: &str| Value::str(t));
+        // 9:1 breaks every rule whose premise it satisfies: g = 0, s = 0,
+        // t = 'ab', and r references 9:2, whose a is 1.
+        let view = hand_view(
+            vec![
+                global_object(
+                    1,
+                    true,
+                    true,
+                    vec![
+                        ("g", int(0)),
+                        ("s", int(0)),
+                        ("t", text("ab")),
+                        ("r", Value::Ref(ObjectId::new(9, 2))),
+                    ],
+                ),
+                global_object(2, true, false, vec![("a", int(1))]),
+            ],
+            vec![("C", vec![1])],
+        );
+        // (constraint, live, reports 9:1)
+        let cases = [
+            (rule(eq("g", int(0)).and(eq("g", int(1)))), false, false),
+            (rule(eq("g", int(0)).and(eq_rev("g", int(1)))), false, false),
+            // Equal under `sem_eq`, and the same constant either way round.
+            (rule(eq("g", int(0)).and(eq("g", real(0.0)))), true, true),
+            (rule(eq("g", int(0)).and(eq_rev("g", int(0)))), true, true),
+            // Mixed kinds never compare equal.
+            (rule(eq("g", int(0)).and(eq("g", text("0")))), false, false),
+            (
+                rule(eq("t", text("ab")).and(eq("t", text("b")))),
+                false,
+                false,
+            ),
+            (
+                rule(eq("t", text("ab")).and(eq("t", text("ab")))),
+                true,
+                true,
+            ),
+            (rule(eq("r.a", int(1)).and(eq("r.a", int(2)))), false, false),
+            (
+                rule(eq("r.a", int(1)).and(eq_rev("r.a", real(1.0)))),
+                true,
+                true,
+            ),
+            // Different paths bind nothing together.
+            (rule(eq("r.a", int(1)).and(eq("g", int(0)))), true, true),
+            (rule(eq("a", int(1)).and(eq("g", int(0)))), true, false),
+            // `g = null` is never `True`; two nulls compare equal, so that
+            // pair is kept, and is `Unknown` on every member.
+            (
+                rule(eq("g", Value::Null).and(eq("g", int(0)))),
+                false,
+                false,
+            ),
+            (
+                rule(eq("g", Value::Null).and(eq("g", Value::Null))),
+                true,
+                false,
+            ),
+            // Only an `And`'s own atom children count.
+            (
+                rule(eq("g", int(0)).and(eq("g", int(1)).negate().negate())),
+                true,
+                false,
+            ),
+            (eq("g", int(0)).and(eq("g", int(1))).negate(), false, false),
+            (
+                eq("g", int(0))
+                    .and(eq("g", int(1)))
+                    .or(Formula::cmp("s", CmpOp::Ge, 9i64)),
+                true,
+                true,
+            ),
+            (Formula::False, true, true),
+            (rule(Formula::False), false, false),
+            (Formula::True, false, false),
+        ];
+        let c = ClassName::new("C");
+        for (formula, is_live, reported) in cases {
+            assert_eq!(live(&formula), is_live, "liveness of {formula}");
+            let global = GlobalConstraints {
+                object: vec![derived("c", Scope::All(c.clone()), formula.clone())],
+                ..Default::default()
+            };
+            let mut out = Vec::new();
+            instance_violations(&mut out, &global, &view);
+            assert_eq!(out, naive_instance_violations(&global, &view), "{formula}");
+            assert_eq!(out.len(), usize::from(reported), "reports of {formula}");
+        }
+    }
+
+    #[test]
+    fn of_a_four_by_four_pairing_only_equal_grades_are_live() {
+        use interop_constraint::CmpOp;
+        // §5.1 pairs each local `grade = i implies ...` with each remote
+        // `grade = j implies ...`; derivation merges the guards into
+        // `grade = i` when i = j and keeps `grade = i and grade = j`.
+        let grade = |i: i64| Formula::cmp("grade", CmpOp::Eq, i);
+        let mut merged = Vec::new();
+        for i in 0..4i64 {
+            for j in 0..4i64 {
+                let guard = if i == j {
+                    grade(i)
+                } else {
+                    grade(i).and(grade(j))
+                };
+                let low = Value::real((i + j) as f64 / 2.0);
+                merged.push(guard.implies(Formula::Cmp(
+                    Expr::attr("score"),
+                    CmpOp::Ge,
+                    Expr::Const(low),
+                )));
+            }
+        }
+        assert_eq!(merged.len(), 16);
+        let live: Vec<String> = merged
+            .iter()
+            .filter(|f| live(f))
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            live,
+            [
+                "grade = 0 implies score >= 0",
+                "grade = 1 implies score >= 1",
+                "grade = 2 implies score >= 2",
+                "grade = 3 implies score >= 3",
+            ]
+        );
+    }
+
     /// The per-constraint loop the columnar kernel replaced, kept as its
     /// oracle: each constraint walks its scope's extension and evaluates
     /// its whole formula on every member.
@@ -848,6 +1134,22 @@ mod tests {
             bool,
         );
 
+        /// An object whose `a` holds one of [`equality_constant`]'s
+        /// values, and whose `r` may reference another such object.
+        fn arb_equality_object() -> impl Strategy<Value = ObjectSpec> {
+            (
+                prop::sample::select(vec![(true, false), (false, true), (true, true)]),
+                equality_constant(),
+                0u64..10,
+                any::<bool>(),
+                any::<bool>(),
+            )
+                .prop_map(|(sides, a, r, in_c, in_d)| {
+                    let r = Value::Ref(ObjectId::new(9, r));
+                    (sides, Some(a), None, Some(r), in_c, in_d)
+                })
+        }
+
         fn arb_object() -> impl Strategy<Value = ObjectSpec> {
             (
                 prop::sample::select(vec![(true, false), (false, true), (true, true)]),
@@ -909,6 +1211,7 @@ mod tests {
             let leaf = prop_oneof![
                 prop::sample::select(vec!["a", "b", "r", "r.a", "r.b", "missing"])
                     .prop_map(Expr::attr),
+                Just(Expr::Attr(Path::this())),
                 (-1i64..3).prop_map(Expr::val),
                 prop::sample::select(vec![0.0, 2.5]).prop_map(Expr::val),
                 Just(Expr::val("ab")),
@@ -964,13 +1267,51 @@ mod tests {
             ]
         }
 
+        /// Constants of which some compare equal across kinds (`1`,
+        /// `1.0`) and some never do.
+        fn equality_constant() -> impl Strategy<Value = Value> {
+            prop::sample::select(vec![
+                Value::Int(1),
+                Value::real(1.0),
+                Value::Int(2),
+                Value::str("ab"),
+                Value::Null,
+            ])
+        }
+
+        /// A conjunction of `=` atoms binding one path to constants that
+        /// often compare unequal, either operand order: the premises the
+        /// liveness pass drops.
+        fn arb_equalities() -> impl Strategy<Value = Formula> {
+            (
+                prop::sample::select(vec!["a", "r.a"]),
+                prop::collection::vec((equality_constant(), any::<bool>()), 1..4),
+            )
+                .prop_map(|(p, atoms)| {
+                    Formula::And(
+                        atoms
+                            .into_iter()
+                            .map(|(c, reversed)| {
+                                let (x, y) = (Expr::attr(p), Expr::Const(c));
+                                if reversed {
+                                    Formula::Cmp(y, CmpOp::Eq, x)
+                                } else {
+                                    Formula::Cmp(x, CmpOp::Eq, y)
+                                }
+                            })
+                            .collect(),
+                    )
+                })
+        }
+
         fn arb_formula() -> impl Strategy<Value = Formula> {
-            arb_atom().prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![arb_atom(), arb_equalities()].prop_recursive(3, 24, 4, |inner| {
                 prop_oneof![
                     prop::collection::vec(inner.clone(), 0..4).prop_map(Formula::And),
                     prop::collection::vec(inner.clone(), 0..4).prop_map(Formula::Or),
                     inner.clone().prop_map(|f| Formula::Not(Box::new(f))),
-                    (inner.clone(), inner).prop_map(|(a, b)| a.implies(b)),
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
+                    (arb_equalities(), inner).prop_map(|(a, b)| a.implies(b)),
                 ]
             })
         }
@@ -986,20 +1327,46 @@ mod tests {
                 objects in prop::collection::vec(arb_object(), 0..10),
                 constraints in prop::collection::vec((arb_scope(), arb_formula()), 0..8),
             ) {
-                let view = build_view(&objects);
-                let global = GlobalConstraints {
-                    object: constraints
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, (scope, f))| derived(&format!("c{i}"), scope, f))
-                        .collect(),
-                    ..Default::default()
-                };
-                let mut kernel = Vec::new();
-                instance_violations(&mut kernel, &global, &view);
-                let oracle = naive_instance_violations(&global, &view);
+                let (kernel, oracle) = kernel_and_oracle(&objects, constraints);
                 prop_assert_eq!(&kernel, &oracle, "kernel {:#?}\noracle {:#?}", kernel, oracle);
             }
+
+            /// The same under rules `premise implies body` whose premises
+            /// bind `a` or `r.a` to the constants the objects hold there,
+            /// so a premise the liveness pass wrongly calls exclusive
+            /// meets a member that satisfies it.
+            #[test]
+            fn kernel_matches_oracle_under_equality_premises(
+                objects in prop::collection::vec(arb_equality_object(), 0..10),
+                rules in prop::collection::vec((arb_scope(), arb_equalities(), arb_formula()), 0..8),
+            ) {
+                let constraints = rules
+                    .into_iter()
+                    .map(|(scope, premise, body)| (scope, premise.implies(body)))
+                    .collect();
+                let (kernel, oracle) = kernel_and_oracle(&objects, constraints);
+                prop_assert_eq!(&kernel, &oracle, "kernel {:#?}\noracle {:#?}", kernel, oracle);
+            }
+        }
+
+        /// What the kernel and the per-constraint loop report for
+        /// `constraints` over a view of `objects`.
+        fn kernel_and_oracle(
+            objects: &[ObjectSpec],
+            constraints: Vec<(Scope, Formula)>,
+        ) -> (Vec<Conflict>, Vec<Conflict>) {
+            let view = build_view(objects);
+            let global = GlobalConstraints {
+                object: constraints
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (scope, f))| derived(&format!("c{i}"), scope, f))
+                    .collect(),
+                ..Default::default()
+            };
+            let mut kernel = Vec::new();
+            instance_violations(&mut kernel, &global, &view);
+            (kernel, naive_instance_violations(&global, &view))
         }
     }
 }

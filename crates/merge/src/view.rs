@@ -61,23 +61,24 @@ impl IntegratedView {
     }
 
     /// Navigates a path on a global object (references resolve to other
-    /// global objects).
+    /// global objects). The empty path yields the object's own reference,
+    /// as [`interop_constraint::eval::eval_path`] does on a component
+    /// object.
     pub fn get_path(&self, obj: &GlobalObject, path: &Path) -> Value {
+        let Some((last, init)) = path.0.split_last() else {
+            return Value::Ref(obj.id);
+        };
         let mut cur: &GlobalObject = obj;
-        for (i, attr) in path.0.iter().enumerate() {
-            let v = cur.attrs.get(attr).cloned().unwrap_or(Value::Null);
-            if i + 1 == path.0.len() {
-                return v;
-            }
-            match v {
-                Value::Ref(id) => match self.objects.get(&id) {
+        for attr in init {
+            match cur.attrs.get(attr) {
+                Some(Value::Ref(id)) => match self.objects.get(id) {
                     Some(next) => cur = next,
                     None => return Value::Null,
                 },
                 _ => return Value::Null,
             }
         }
-        Value::Null
+        cur.attrs.get(last).cloned().unwrap_or(Value::Null)
     }
 
     /// Evaluates a (conformed) formula on a global object with the
@@ -420,6 +421,37 @@ mod tests {
             v.eval(merged, &Formula::cmp("nonexistent", CmpOp::Eq, 1i64)),
             Truth::Unknown
         );
+    }
+
+    #[test]
+    fn self_path_is_the_objects_own_reference() {
+        use interop_constraint::eval::eval_formula;
+        use interop_constraint::Expr;
+        // `self = r` on an object whose `r` references itself.
+        let this_is_r = Formula::Cmp(Expr::Attr(Path::this()), CmpOp::Eq, Expr::attr("r"));
+        let schema = Schema::new(
+            "S",
+            vec![ClassDef::new("Node").attr("r", Type::Ref(ClassName::new("Node")))],
+        )
+        .unwrap();
+        let mut db = Database::new(schema, 1);
+        let id = db.create("Node", vec![]).unwrap();
+        db.update(id, "r", Value::Ref(id)).unwrap();
+        let component = db.object(id).unwrap();
+        assert_eq!(
+            eval_formula(&db, component, &this_is_r).unwrap(),
+            Truth::True
+        );
+
+        let mut v = view();
+        let mut global = v.objects.values().next().unwrap().clone();
+        global.id = ObjectId::new(99, 1);
+        global
+            .attrs
+            .insert(AttrName::new("r"), Value::Ref(global.id));
+        v.objects.insert(global.id, global.clone());
+        assert_eq!(v.get_path(&global, &Path::this()), Value::Ref(global.id));
+        assert_eq!(v.eval(&global, &this_is_r), Truth::True);
     }
 
     #[test]
