@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use interop_conform::{plan::build_plans, AttrAction, PlanIndex, Rewriter};
-use interop_constraint::solve::{conjunction_satisfiable, Prepared, TypeEnv};
+use interop_constraint::solve::{conjunction_satisfiable, conjunction_witness, Prepared, TypeEnv};
 use interop_constraint::{Formula, Path};
 use interop_model::ClassName;
 use interop_spec::{Relationship, Side};
@@ -74,15 +74,21 @@ pub(crate) fn check(
         conformed_env(&idx_r, &rclass, &mut env);
         let lcs = rewritten(input, Side::Local, &rw_l, &lclass, broken);
         let rcs = rewritten(input, Side::Remote, &rw_r, &rclass, broken);
+        // One witness search over both sides' constraints decides every
+        // cross pair when it finds a branch (see `conjunction_witness`);
+        // otherwise each pair is decided on its own.
+        let lps: Vec<Prepared> = lcs.values().map(Prepared::new).collect();
         let rps: Vec<Prepared> = rcs.values().map(Prepared::new).collect();
-        for (lid, lf) in &lcs {
-            let lp = Prepared::new(lf);
+        if conjunction_witness(lps.iter().chain(&rps), &env) {
+            continue;
+        }
+        for ((lid, lf), lp) in lcs.iter().zip(&lps) {
             for ((rid, rf), rp) in rcs.iter().zip(&rps) {
                 let key = (lid.clone(), rid.clone());
                 if reported.contains(&key) {
                     continue;
                 }
-                if !conjunction_satisfiable([&lp, rp], &env) {
+                if !conjunction_satisfiable([lp, rp], &env) {
                     diags.push(
                         Diagnostic::new(
                             Code::A003,

@@ -4,8 +4,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use interop_constraint::solve::{conjunction_satisfiable, is_satisfiable, Prepared, TypeEnv};
-use interop_constraint::Catalog;
+use interop_constraint::solve::{
+    conjunction_satisfiable, conjunction_witness, is_satisfiable, Prepared, TypeEnv,
+};
+use interop_constraint::{Catalog, ObjectConstraint};
 use interop_model::{ClassName, Schema};
 
 use crate::diag::{Code, Diagnostic, Location};
@@ -73,27 +75,34 @@ fn side(
 
     // A002: pairwise conjunctions among the constraints *effective* on
     // each class. A pair is reported once, at the first (shallowest)
-    // class where both members are visible together.
+    // class where both members are visible together. The class's family
+    // first gets one witness search: a branch of the whole family's
+    // conjunction that the theory check accepts makes every pair in it
+    // satisfiable (see `conjunction_witness`), so the class is done.
+    // Otherwise the pair loop decides each pair on its own.
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
     for def in schema.classes() {
         let effective = catalog.object_effective(schema, &def.name);
         let env = env_of(&def.name);
-        let prepared: Vec<Prepared> = effective
-            .iter()
-            .map(|oc| Prepared::new(&oc.formula))
-            .collect();
+        let family = family(&effective, broken);
+        if conjunction_witness(family.iter().flatten(), &env) {
+            continue;
+        }
         for (i, a) in effective.iter().enumerate() {
             for (j, b) in effective.iter().enumerate().skip(i + 1) {
+                let (Some(pa), Some(pb)) = (&family[i], &family[j]) else {
+                    continue; // a broken member
+                };
                 let (first, second) = if a.id.as_str() <= b.id.as_str() {
                     (a, b)
                 } else {
                     (b, a)
                 };
                 let key = (first.id.as_str().to_owned(), second.id.as_str().to_owned());
-                if broken.contains(&key.0) || broken.contains(&key.1) || seen.contains(&key) {
+                if seen.contains(&key) {
                     continue;
                 }
-                if !conjunction_satisfiable([&prepared[i], &prepared[j]], &env) {
+                if !conjunction_satisfiable([pa, pb], &env) {
                     diags.push(
                         Diagnostic::new(
                             Code::A002,
@@ -110,4 +119,14 @@ fn side(
             }
         }
     }
+}
+
+/// One class's A002 family: each effective constraint prepared once, for
+/// the witness search and the pair loop alike, or `None` for one a
+/// per-constraint check reported broken, which neither of them tests.
+fn family(effective: &[&ObjectConstraint], broken: &BTreeSet<String>) -> Vec<Option<Prepared>> {
+    effective
+        .iter()
+        .map(|oc| (!broken.contains(oc.id.as_str())).then(|| Prepared::new(&oc.formula)))
+        .collect()
 }

@@ -41,7 +41,13 @@
 //! * **Conservative, like the solver it wraps.** Every `error` is a
 //!   *proven* defect (an over-approximating satisfiability verdict never
 //!   fires an unsat diagnostic on a satisfiable spec); silence is not a
-//!   proof of correctness.
+//!   proof of correctness. The pair checks (A002, A003) answer each pair
+//!   as the solver's pair question would: a family of constraints first
+//!   gets one bounded witness search
+//!   ([`conjunction_witness`](interop_constraint::solve::conjunction_witness)),
+//!   whose witness makes every pair in the family satisfiable, and a
+//!   family without one falls back to deciding each pair on its own, so
+//!   the witness changes how fast the stream comes, never what it says.
 //! * **One root cause, one code.** A constraint or premise reported
 //!   broken by one check is suppressed from the downstream checks that
 //!   would restate it (a type-broken atom is not also "unsatisfiable";

@@ -1,8 +1,9 @@
 //! Experiment F2 bench: the conformation + merging pipeline on the paper
-//! fixture and on synthetic extents of growing size, the conflict
-//! checks on the end-to-end benchmark's two synthetic pairs, and the
-//! whole-database builds after them: conform on the wide pair, and the
-//! merged view materialised and loaded into a store.
+//! fixture and on synthetic extents of growing size, the pre-flight
+//! analysis and the conflict checks on the end-to-end benchmark's
+//! synthetic pairs, and the whole-database builds after them: conform on
+//! the wide pair, and the merged view materialised and loaded into a
+//! store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use interop_bench::{synthetic_fixture, SyntheticConfig};
@@ -90,6 +91,27 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // The pre-flight analysis the end-to-end deep integration runs
+    // first, over the deep pair's schemas, catalogs (33 object
+    // constraints per side) and spec; it reads no objects.
+    let deep = synthetic_fixture(SyntheticConfig {
+        local_n: 1_000,
+        remote_n: 1_000,
+        match_ratio: 0.5,
+        constraints_per_side: 32,
+        seed: 42,
+    });
+    let input = interop_analyze::AnalysisInput {
+        local: &deep.local_db.schema,
+        local_catalog: &deep.local_catalog,
+        remote: &deep.remote_db.schema,
+        remote_catalog: &deep.remote_catalog,
+        spec: &deep.spec,
+    };
+    g.bench_with_input(BenchmarkId::new("preflight", "deep"), &"deep", |b, _| {
+        b.iter(|| interop_analyze::analyze(std::hint::black_box(&input)))
+    });
 
     // §5.2.1's conflict checks alone, on the synthetic pairs the
     // end-to-end integrations run: `wide` is object-bound (10k objects

@@ -1,12 +1,13 @@
 //! Bench B3: the satisfiability/implication solver. Sweeps the number of
 //! conjoined atoms (linear domain work) and the disjunction width (DNF
 //! growth), and runs the integration's own shapes: the pairwise check of
-//! conditional constraints the analyzer makes, and conjunctions of
-//! implications too large to expand.
+//! conditional constraints the analyzer used to make for every family,
+//! the one witness search over the same family it makes first now, and
+//! conjunctions of implications too large to expand.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use interop_constraint::solve::{
-    conjunction_satisfiable, implies, is_satisfiable, Prepared, TypeEnv,
+    conjunction_satisfiable, conjunction_witness, implies, is_satisfiable, Prepared, TypeEnv,
 };
 use interop_constraint::{CmpOp, Formula};
 use interop_model::Type;
@@ -120,6 +121,21 @@ fn bench(c: &mut Criterion) {
                     }
                 }
                 contradictory
+            })
+        },
+    );
+    // The same family as the analyzer decides it now: one witness
+    // search over the whole family's conjunction, preparation included.
+    g.bench_with_input(
+        BenchmarkId::new("witness_conditional", cs.len()),
+        &cs.len(),
+        |b, _| {
+            b.iter(|| {
+                let prepared: Vec<Prepared> = std::hint::black_box(&cs)
+                    .iter()
+                    .map(Prepared::new)
+                    .collect();
+                conjunction_witness(&prepared, &cond_env)
             })
         },
     );

@@ -43,6 +43,12 @@
 //!   the answer is found (a depth-first search over the expansion of
 //!   formulas normalised once, never building it) is mechanism, not
 //!   contract; `tests/prop_solver.rs` keeps the expansion as its oracle.
+//! * **A witness answers for every subset.** When
+//!   [`solve::conjunction_witness`] finds a branch of a conjunction of
+//!   prepared parts, [`solve::conjunction_satisfiable`] answers
+//!   "satisfiable" on any subset of those parts, because the per-branch
+//!   theory check is monotone in the atoms asserted. "Not found" claims
+//!   nothing: the search may simply have run out of its branch budget.
 //! * **Evaluation is three-valued** ([`eval::Truth`]): a null attribute
 //!   makes an atom `Unknown`, never `True`/`False`. Constraint
 //!   *enforcement* accepts `Unknown` (a constraint is violated only when

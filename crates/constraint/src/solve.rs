@@ -9,8 +9,9 @@
 //!   by a difference-bound system with strictness-aware negative-cycle
 //!   detection;
 //! * substring atoms (`contains(title, 'Proceed')`), refutable when the
-//!   path's domain is a finite string set or when contradictory
-//!   `contains`/`not contains` pairs occur.
+//!   path's domain is a finite string set or numeric (no number contains
+//!   a substring) or when contradictory `contains`/`not contains` pairs
+//!   occur.
 //!
 //! Everything else is treated as *opaque* and dropped, which
 //! over-approximates the solution set. Consequently [`is_satisfiable`]
@@ -33,7 +34,11 @@
 //! [`Prepared`] formula is normalised once for many questions;
 //! [`conjunction_satisfiable`] joins prepared parts under `simplify`'s own
 //! rule for a conjunction, so its verdict and its cap are those of the
-//! conjunction of their formulas. Only [`project`] still expands to DNF.
+//! conjunction of their formulas. [`conjunction_witness`] searches the
+//! same expansion without the size gate, for at most [`DNF_CAP`]
+//! branches, and a branch it finds answers "satisfiable" for every subset
+//! of the parts at once (the theory check is monotone). Only [`project`]
+//! still expands to DNF.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -303,7 +308,7 @@ impl Conj {
                     }
                 }
                 if let Expr::Attr(p) = e {
-                    let d = Domain::from_values(set, env.integral(p));
+                    let d = set_domain(env, p, set);
                     self.restrict(env, p, &d);
                 }
                 // Otherwise opaque: drop (over-approximation).
@@ -316,7 +321,7 @@ impl Conj {
             Formula::Not(inner) => match &**inner {
                 Formula::In(e, set) => {
                     if let Expr::Attr(p) = e {
-                        let d = match Domain::from_values(set, env.integral(p)) {
+                        let d = match set_domain(env, p, set) {
                             Domain::Num(n) => Domain::Num(n.complement()),
                             Domain::Disc(d) => Domain::Disc(d.complement()),
                         };
@@ -484,17 +489,26 @@ impl Conj {
             if neg.iter().any(|(q, t)| q == p && t == s) {
                 return true; // contains(x,s) ∧ ¬contains(x,s)
             }
+            // No number contains a substring (evaluation makes the atom
+            // `False`): a numeric domain is refuted, as the numbers of a
+            // finite set are filtered out, so a value set the filter
+            // refutes stays refuted when an intersection turns it
+            // numeric. A numeric domain meets every `not contains`.
             let dom = self.domain_mut(env, p).clone();
-            if let Domain::Disc(DiscSet::In(vals)) = &dom {
-                let filtered: BTreeSet<Value> = vals
-                    .iter()
-                    .filter(|v| v.as_str().is_some_and(|x| x.contains(s.as_str())))
-                    .cloned()
-                    .collect();
-                self.restrict(env, p, &Domain::Disc(DiscSet::In(filtered)));
-                if self.dead {
-                    return true;
+            match &dom {
+                Domain::Num(_) => return true,
+                Domain::Disc(DiscSet::In(vals)) => {
+                    let filtered: BTreeSet<Value> = vals
+                        .iter()
+                        .filter(|v| v.as_str().is_some_and(|x| x.contains(s.as_str())))
+                        .cloned()
+                        .collect();
+                    self.restrict(env, p, &Domain::Disc(DiscSet::In(filtered)));
+                    if self.dead {
+                        return true;
+                    }
                 }
+                Domain::Disc(DiscSet::NotIn(_)) => {}
             }
         }
         for (p, s) in &neg {
@@ -589,6 +603,24 @@ impl Conj {
     }
 }
 
+/// The domain of path `p` that the values of `set` give. A set mixing
+/// numbers with other values gives a discrete set, in which `3` and `3.0`
+/// would be two members though evaluation compares them equal, so its
+/// numbers are taken as reals first; the intersections then meet on
+/// them whichever form each set wrote.
+fn set_domain(env: &TypeEnv, p: &Path, set: &BTreeSet<Value>) -> Domain {
+    match Domain::from_values(set, env.integral(p)) {
+        Domain::Disc(_) if set.iter().any(|v| matches!(v, Value::Int(_))) => {
+            let reals: BTreeSet<Value> = set
+                .iter()
+                .map(|v| v.as_num().map_or_else(|| v.clone(), Value::Real))
+                .collect();
+            Domain::from_values(&reals, env.integral(p))
+        }
+        d => d,
+    }
+}
+
 fn singleton(d: &Domain) -> Option<Value> {
     match d {
         Domain::Num(n) => {
@@ -613,6 +645,7 @@ pub fn is_satisfiable(f: &Formula, env: &TypeEnv) -> bool {
 
 /// The verdict on the conjunction of `conjuncts`, normalised formulas:
 /// depth-first over their DNF expansion, at the first consistent branch.
+/// The size gate bounds the branches, so the search needs no budget.
 fn expansion_satisfiable(conjuncts: &[&Formula], env: &TypeEnv) -> bool {
     if conjunction_size(conjuncts.iter().copied(), DNF_CAP).is_none() {
         return true; // too big to decide — assume satisfiable
@@ -621,7 +654,8 @@ fn expansion_satisfiable(conjuncts: &[&Formula], env: &TypeEnv) -> bool {
         conjuncts,
         nested: Vec::new(),
     };
-    consistent_branch(Conj::new(), agenda, None, env)
+    let mut unbounded = usize::MAX;
+    consistent_branch(Conj::new(), agenda, None, env, &mut unbounded)
 }
 
 /// The atoms still to assert on a branch: the rest of the top-level
@@ -653,11 +687,16 @@ impl<'f> Agenda<'f> {
 /// order of atoms on each are exactly [`dnf`]'s conjuncts. A branch is
 /// dropped as soon as its state is dead, which no further atom undoes;
 /// a complete one gets the full check.
+///
+/// `budget` counts the branches the search may still end, dropped or
+/// complete; once it is spent no further branch is started and the
+/// answer is `false`.
 fn consistent_branch<'f>(
     mut st: Conj,
     mut agenda: Agenda<'f>,
     mut goal: Option<&'f Formula>,
     env: &TypeEnv,
+    budget: &mut usize,
 ) -> bool {
     while let Some(g) = goal.take().or_else(|| agenda.next()) {
         match g {
@@ -667,8 +706,11 @@ fn consistent_branch<'f>(
                     return false; // an empty disjunction has no branch
                 };
                 for alt in rest {
-                    if consistent_branch(st.clone(), agenda.clone(), Some(alt), env) {
+                    if consistent_branch(st.clone(), agenda.clone(), Some(alt), env, budget) {
                         return true;
+                    }
+                    if *budget == 0 {
+                        return false;
                     }
                 }
                 goal = Some(last);
@@ -676,11 +718,13 @@ fn consistent_branch<'f>(
             atom => {
                 st.add_atom(env, atom);
                 if st.dead {
+                    *budget = budget.saturating_sub(1);
                     return false;
                 }
             }
         }
     }
+    *budget = budget.saturating_sub(1);
     !st.unsat(env)
 }
 
@@ -720,13 +764,81 @@ pub fn conjunction_satisfiable<'p>(
     parts: impl IntoIterator<Item = &'p Prepared>,
     env: &TypeEnv,
 ) -> bool {
+    join(parts).is_some_and(|joined| expansion_satisfiable(&joined, env))
+}
+
+/// The conjuncts of the prepared parts joined under `simplify`'s rule for
+/// a conjunction, or `None` when one of them is `False`.
+fn join<'p>(parts: impl IntoIterator<Item = &'p Prepared>) -> Option<Vec<&'p Formula>> {
     let mut joined = Children::default();
     for c in parts.into_iter().flat_map(|p| &p.conjuncts) {
         if !joined.conjoin(c) {
-            return false;
+            return None;
         }
     }
-    expansion_satisfiable(&joined.items, env)
+    Some(joined.items)
+}
+
+/// Is there a *witness* for the conjunction of the prepared parts: a
+/// branch of its expansion that the theory check accepts, found within
+/// [`DNF_CAP`] branches? `false` means that no such branch was found,
+/// either because none exists or because the search ended that many
+/// branches, dropped or complete, first. Unlike
+/// [`conjunction_satisfiable`] there is no size gate, so a large family
+/// is searched too, and the cost stays bounded by the same cap.
+///
+/// The parts are joined as [`conjunction_satisfiable`] joins them, and
+/// the search asserts the conjuncts that are not disjunctions first: any
+/// accepted branch is a witness whatever the order, and a family with an
+/// unconditional contradiction dies on its first branch.
+///
+/// **What a witness proves.** The theory check is monotone: if asserting
+/// a set of atoms, in any order, survives both the eager `dead` test and
+/// the full check, then asserting any subset of them, in any order,
+/// survives too. Each part of the check only tightens as atoms are
+/// added: domains are intersected, difference edges and hull bounds are
+/// added, the propagation over path equalities only narrows, and the
+/// disequality singleton test and the `contains` filters only refute
+/// more. That holds across carriers too: an intersection can turn a
+/// discrete domain numeric, never back, and the numeric domain refutes
+/// at least as much (it carries hull bounds, and no number contains a
+/// substring), while the numbers of a set that mixes kinds are taken as
+/// reals, so `3` and `3.0` meet in any order. Now take a subset of the
+/// parts, such as one pair. Its joined conjuncts are among the family's,
+/// so the witness's choices on them form a branch of the subset's
+/// expansion whose atoms are a subset of the witness's. That branch survives, so [`conjunction_satisfiable`],
+/// which searches the whole expansion when it is within the cap, answers
+/// "satisfiable" on the subset; past the cap it answers so anyway. A
+/// found witness thus decides every subset's question at once, the
+/// same way. The test module checks the monotonicity on random atom
+/// lists.
+pub fn conjunction_witness<'p>(
+    parts: impl IntoIterator<Item = &'p Prepared>,
+    env: &TypeEnv,
+) -> bool {
+    let mut budget = DNF_CAP;
+    witness_within(parts, env, &mut budget)
+}
+
+/// [`conjunction_witness`] with the branch budget given: the search ends
+/// at most `budget` branches and takes them off it.
+fn witness_within<'p>(
+    parts: impl IntoIterator<Item = &'p Prepared>,
+    env: &TypeEnv,
+    budget: &mut usize,
+) -> bool {
+    let Some(joined) = join(parts) else {
+        return false;
+    };
+    let (mut order, disjunctions): (Vec<&Formula>, Vec<&Formula>) = joined
+        .into_iter()
+        .partition(|g| !matches!(g, Formula::Or(_)));
+    order.extend(disjunctions);
+    let agenda = Agenda {
+        conjuncts: &order,
+        nested: Vec::new(),
+    };
+    consistent_branch(Conj::new(), agenda, None, env, budget)
 }
 
 /// Proven entailment: `phi ⊨ psi` iff `phi ∧ ¬psi` is unsatisfiable.
@@ -1355,6 +1467,41 @@ mod tests {
     }
 
     #[test]
+    fn no_number_contains_a_substring() {
+        let e = env();
+        let contains = |p: &str| Formula::Contains(Expr::attr(p), "1".into());
+        // A numeric domain, typed or left by an intersection on an
+        // untyped path, holds no value that contains a substring, and
+        // every value it holds meets `not contains`.
+        assert!(!is_satisfiable(&contains("rating"), &e));
+        let mixed = Formula::isin("tag", [Value::str("a1"), Value::int(1)]);
+        assert!(is_satisfiable(&mixed.clone().and(contains("tag")), &e));
+        let numeric = Formula::cmp("tag", CmpOp::Eq, 1i64);
+        assert!(!is_satisfiable(&numeric.clone().and(contains("tag")), &e));
+        assert!(!is_satisfiable(
+            &mixed.clone().and(numeric.clone()).and(contains("tag")),
+            &e
+        ));
+        let lacks = Formula::Not(Box::new(contains("tag")));
+        assert!(is_satisfiable(&numeric.and(lacks), &e));
+    }
+
+    #[test]
+    fn a_number_is_one_member_whether_written_int_or_real() {
+        let e = env();
+        let ints = Formula::isin("tag", [Value::int(3), Value::str("x")]);
+        let reals = Formula::isin("tag", [Value::Real(R64::new(3.0)), Value::str("y")]);
+        // The two sets share 3, in either order and on any carrier.
+        assert!(is_satisfiable(&ints.clone().and(reals.clone()), &e));
+        assert!(is_satisfiable(&reals.clone().and(ints.clone()), &e));
+        let bound = Formula::cmp("tag", CmpOp::Lt, 5i64);
+        assert!(is_satisfiable(&bound.and(ints.clone()).and(reals), &e));
+        // And `tag not in {3, 'x'}` leaves nothing of `{3.0, 'x'}`.
+        let both = Formula::isin("tag", [Value::Real(R64::new(3.0)), Value::str("x")]);
+        assert!(!is_satisfiable(&Formula::Not(Box::new(ints)).and(both), &e));
+    }
+
+    #[test]
     fn affine_atoms() {
         let e = env();
         // 2*rating - 1 >= 13  ⇔  rating >= 7
@@ -1721,6 +1868,277 @@ mod tests {
                 prop_assert_eq!(clone.unsat(&e), verdict);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The lemma behind `conjunction_witness`: the theory check is
+        /// monotone. When the state built from a list of atoms survives
+        /// the full check, the state built from any sub-list, in any
+        /// order, is never dead on the way and survives too.
+        #[test]
+        fn every_shuffled_sub_list_of_a_surviving_list_survives(
+            atoms in prop::collection::vec(arb_theory_atom(), 1..16),
+            picks in prop::collection::vec((any::<bool>(), any::<u32>()), 16..17)
+        ) {
+            let e = theory_env();
+            prop_assert!(e.base_domain(&Path::parse("void")).is_empty());
+            let mut full = Conj::new();
+            for atom in &atoms {
+                full.add_atom(&e, atom);
+            }
+            if !full.unsat(&e) {
+                // In the drawn order: the drawn sub-list, and each list
+                // short of one atom.
+                let mut order: Vec<(u32, bool, &Formula)> = picks
+                    .iter()
+                    .zip(&atoms)
+                    .map(|(&(keep, key), atom)| (key, keep, atom))
+                    .collect();
+                order.sort_by_key(|&(key, ..)| key);
+                let mut subs: Vec<Vec<&Formula>> = vec![order
+                    .iter()
+                    .filter(|(_, keep, _)| *keep)
+                    .map(|&(.., atom)| atom)
+                    .collect()];
+                for left_out in 0..order.len() {
+                    subs.push(
+                        order
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| i != left_out)
+                            .map(|(_, &(.., atom))| atom)
+                            .collect(),
+                    );
+                }
+                for sub in subs {
+                    let mut st = Conj::new();
+                    for atom in sub {
+                        st.add_atom(&e, atom);
+                        prop_assert!(!st.dead, "{} killed a sub-list of a surviving list", atom);
+                    }
+                    prop_assert!(!st.unsat(&e), "a sub-list of a surviving list is refuted");
+                }
+            }
+        }
+    }
+
+    /// Few paths over small domains, so that the atoms of one list often
+    /// meet: two integer paths `m` and `n` over `0..3`, two string paths
+    /// `s` and `t`, and `void`, whose type domain is empty. `u` is left
+    /// untyped, as the analyzer leaves a path more than one reference
+    /// deep, so numeric and discrete atoms meet on it.
+    fn theory_env() -> TypeEnv {
+        TypeEnv::new()
+            .with("m", Type::Range(0, 3))
+            .with("n", Type::Range(0, 3))
+            .with("s", Type::Str)
+            .with("t", Type::Str)
+            .with("void", Type::Range(3, 1))
+    }
+
+    /// Atoms of every kind the theory state records, over
+    /// [`theory_env`]'s paths: bounds, `=`/`!=` against constants,
+    /// comparisons and difference bounds between two paths, `in`/`not
+    /// in`, `contains`/`not contains` (on `s` and `u` only, so that they
+    /// meet), and atoms over `void`. The untyped `u` takes the numeric
+    /// and the string atoms, and `=`/`!=`/`in`/`not in` against values
+    /// of mixed kinds, with numbers written both as integers and as
+    /// reals (`1` and `1.0`).
+    fn arb_theory_atom() -> impl Strategy<Value = Formula> {
+        let op = prop::sample::select(vec![
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ]);
+        let num = prop::sample::select(vec!["m", "n", "void", "u"]);
+        let text = prop::sample::select(vec!["s", "t", "u"]);
+        let word = prop::sample::select(vec!["x", "y", "xy"]);
+        let pair = prop::sample::select(vec![
+            ("m", "n"),
+            ("n", "m"),
+            ("s", "t"),
+            ("t", "s"),
+            ("u", "m"),
+            ("s", "u"),
+        ]);
+        let mixed = prop::sample::select(vec![
+            Value::int(1),
+            Value::int(2),
+            Value::Real(R64::new(1.0)),
+            Value::Real(R64::new(1.5)),
+            Value::Real(R64::new(2.0)),
+            Value::str("x"),
+            Value::str("xy"),
+            Value::Bool(true),
+            Value::Null,
+        ]);
+        let not = |f: Formula, neg: bool| if neg { Formula::Not(Box::new(f)) } else { f };
+        prop_oneof![
+            (num.clone(), op.clone(), 0i64..4).prop_map(|(p, o, c)| Formula::cmp(p, o, c)),
+            (num.clone(), num.clone(), op.clone(), -1i64..2).prop_map(|(p, q, o, k)| {
+                let lhs = if k == 0 {
+                    Expr::attr(p)
+                } else {
+                    Expr::Bin(
+                        Box::new(Expr::attr(p)),
+                        ArithOp::Add,
+                        Box::new(Expr::val(k)),
+                    )
+                };
+                Formula::Cmp(lhs, o, Expr::attr(q))
+            }),
+            (
+                num,
+                prop::collection::btree_set(0i64..4, 1..3),
+                any::<bool>()
+            )
+                .prop_map(move |(p, vs, neg)| not(Formula::isin(p, vs), neg)),
+            (text.clone(), word.clone(), any::<bool>()).prop_map(|(p, w, eq)| {
+                Formula::cmp(p, if eq { CmpOp::Eq } else { CmpOp::Ne }, w)
+            }),
+            (pair, any::<bool>()).prop_map(|((p, q), eq)| {
+                Formula::Cmp(
+                    Expr::attr(p),
+                    if eq { CmpOp::Eq } else { CmpOp::Ne },
+                    Expr::attr(q),
+                )
+            }),
+            (text, prop::collection::btree_set(word, 1..3), any::<bool>()).prop_map(
+                move |(p, ws, neg)| {
+                    not(
+                        Formula::In(Expr::attr(p), ws.into_iter().map(Value::str).collect()),
+                        neg,
+                    )
+                }
+            ),
+            (mixed.clone(), any::<bool>()).prop_map(|(v, eq)| {
+                Formula::Cmp(
+                    Expr::attr("u"),
+                    if eq { CmpOp::Eq } else { CmpOp::Ne },
+                    Expr::Const(v),
+                )
+            }),
+            (prop::collection::btree_set(mixed, 1..4), any::<bool>())
+                .prop_map(move |(vs, neg)| not(Formula::In(Expr::attr("u"), vs), neg)),
+            (
+                prop::sample::select(vec!["s", "u"]),
+                prop::sample::select(vec!["x", "y"]),
+                any::<bool>()
+            )
+                .prop_map(move |(p, w, neg)| {
+                    not(Formula::Contains(Expr::attr(p), w.into()), neg)
+                }),
+        ]
+    }
+
+    /// `grade = i ⇒ score ≥ i mod 8 + 2` for `i < n`.
+    fn conditionals(n: i64) -> Vec<Formula> {
+        (0..n)
+            .map(|i| {
+                Formula::cmp("grade", CmpOp::Eq, i).implies(Formula::cmp(
+                    "score",
+                    CmpOp::Ge,
+                    i % 8 + 2,
+                ))
+            })
+            .collect()
+    }
+
+    fn cond_env() -> TypeEnv {
+        TypeEnv::new()
+            .with("grade", Type::Int)
+            .with("score", Type::Range(1, 10))
+            .with("p", Type::Int)
+    }
+
+    #[test]
+    fn a_witness_decides_a_family_of_conditionals() {
+        let e = cond_env();
+        let family: Vec<Prepared> = conditionals(33).iter().map(Prepared::new).collect();
+        // 2^33 branches, far past the size gate: the pair check's
+        // whole-conjunction verdict would not be decided, the witness is.
+        assert!(conjunction_witness(&family, &e));
+        for (i, a) in family.iter().enumerate() {
+            for b in &family[i + 1..] {
+                assert!(conjunction_satisfiable([a, b], &e));
+            }
+        }
+    }
+
+    #[test]
+    fn an_unconditional_contradiction_ends_the_search_at_once() {
+        let e = cond_env();
+        let mut fs = conditionals(30);
+        fs.push(Formula::cmp("score", CmpOp::Ge, 8i64));
+        fs.push(Formula::cmp("score", CmpOp::Le, 3i64));
+        let family: Vec<Prepared> = fs.iter().map(Prepared::new).collect();
+        // The atoms are asserted before any disjunction, so the first
+        // branch dies and the search ends there.
+        let mut budget = DNF_CAP;
+        assert!(!witness_within(&family, &e, &mut budget));
+        assert_eq!(budget, DNF_CAP - 1);
+    }
+
+    /// `p = 0 or p = 1`, then `m` free two-way choices, then `p = 1 or
+    /// p = 2`: depth-first, every branch under `p = 0` dies at the last
+    /// disjunction, two per leaf of the free choices, before `p = 1` is
+    /// tried. The family is satisfiable (`p = 1`).
+    fn late_witness(m: usize) -> Vec<Prepared> {
+        let either = |a: Formula, b: Formula| Prepared::new(&a.or(b));
+        let mut family = vec![either(
+            Formula::cmp("p", CmpOp::Eq, 0i64),
+            Formula::cmp("p", CmpOp::Eq, 1i64),
+        )];
+        for i in 0..m {
+            let x = format!("x{i}");
+            family.push(either(
+                Formula::cmp(&x, CmpOp::Eq, 0i64),
+                Formula::cmp(&x, CmpOp::Eq, 1i64),
+            ));
+        }
+        family.push(either(
+            Formula::cmp("p", CmpOp::Eq, 1i64),
+            Formula::cmp("p", CmpOp::Eq, 2i64),
+        ));
+        family
+    }
+
+    #[test]
+    fn the_search_stops_after_dnf_cap_branches() {
+        let e = cond_env();
+        // 2 · 2^7 = 256 dead branches come first: within the budget.
+        assert!(conjunction_witness(&late_witness(7), &e));
+        // 2 · 2^8 = 512 dead branches spend it exactly; 2 · 2^9 overrun it.
+        assert_eq!(2 << 8, DNF_CAP);
+        for m in [8, 9] {
+            let family = late_witness(m);
+            assert!(!conjunction_witness(&family, &e), "m = {m}");
+            // Not found is not a refutation: every pair, and (past the
+            // size gate) the whole family, is satisfiable.
+            assert!(conjunction_satisfiable(&family, &e));
+            for (i, a) in family.iter().enumerate() {
+                for b in &family[i + 1..] {
+                    assert!(conjunction_satisfiable([a, b], &e));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_false_part_has_no_witness() {
+        let e = cond_env();
+        let parts = [
+            Prepared::new(&Formula::False),
+            Prepared::new(&Formula::True),
+        ];
+        assert!(!conjunction_witness(&parts, &e));
+        assert!(conjunction_witness([&parts[1]], &e));
+        assert!(conjunction_witness([], &e));
     }
 
     #[test]

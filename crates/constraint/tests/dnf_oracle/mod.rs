@@ -171,7 +171,7 @@ impl Conj {
                     }
                 }
                 if let Expr::Attr(p) = e {
-                    let d = Domain::from_values(set, env.integral(p));
+                    let d = set_domain(env, p, set);
                     self.restrict(env, p, &d);
                 }
                 // Otherwise opaque: drop (over-approximation).
@@ -184,7 +184,7 @@ impl Conj {
             Formula::Not(inner) => match &**inner {
                 Formula::In(e, set) => {
                     if let Expr::Attr(p) = e {
-                        let d = match Domain::from_values(set, env.integral(p)) {
+                        let d = match set_domain(env, p, set) {
                             Domain::Num(n) => Domain::Num(n.complement()),
                             Domain::Disc(d) => Domain::Disc(d.complement()),
                         };
@@ -354,16 +354,20 @@ impl Conj {
                 return true; // contains(x,s) ∧ ¬contains(x,s)
             }
             let dom = self.domain_mut(env, p).clone();
-            if let Domain::Disc(DiscSet::In(vals)) = &dom {
-                let filtered: BTreeSet<Value> = vals
-                    .iter()
-                    .filter(|v| v.as_str().is_some_and(|x| x.contains(s.as_str())))
-                    .cloned()
-                    .collect();
-                self.restrict(env, p, &Domain::Disc(DiscSet::In(filtered)));
-                if self.dead {
-                    return true;
+            match &dom {
+                Domain::Num(_) => return true,
+                Domain::Disc(DiscSet::In(vals)) => {
+                    let filtered: BTreeSet<Value> = vals
+                        .iter()
+                        .filter(|v| v.as_str().is_some_and(|x| x.contains(s.as_str())))
+                        .cloned()
+                        .collect();
+                    self.restrict(env, p, &Domain::Disc(DiscSet::In(filtered)));
+                    if self.dead {
+                        return true;
+                    }
                 }
+                Domain::Disc(DiscSet::NotIn(_)) => {}
             }
         }
         for (p, s) in &neg {
@@ -455,6 +459,19 @@ impl Conj {
             }
         }
         false
+    }
+}
+
+fn set_domain(env: &TypeEnv, p: &Path, set: &BTreeSet<Value>) -> Domain {
+    match Domain::from_values(set, env.integral(p)) {
+        Domain::Disc(_) if set.iter().any(|v| matches!(v, Value::Int(_))) => {
+            let reals: BTreeSet<Value> = set
+                .iter()
+                .map(|v| v.as_num().map_or_else(|| v.clone(), Value::Real))
+                .collect();
+            Domain::from_values(&reals, env.integral(p))
+        }
+        d => d,
     }
 }
 
